@@ -387,7 +387,9 @@ fn validate_rls_delta_min(delta_min: f64) -> Result<(), ModelError> {
 /// returns the non-dominated achieved points, sorted by increasing
 /// makespan. Adjacent grid points are warm-started through the kernel's
 /// checkpoint/resume support; the curve is bit-identical to
-/// [`rls_sweep_cold`]'s.
+/// [`rls_sweep_cold`]'s. A grid point whose warm run replayed nothing
+/// shares its schedule's storage with the previous point's, and reuses
+/// that point's objective values instead of re-folding the schedule.
 pub fn rls_sweep(
     inst: &DagInstance,
     config: &RlsConfig,
@@ -399,8 +401,13 @@ pub fn rls_sweep(
     let grid = delta_grid(delta_min, delta_max, samples)?;
     let runs = SweepEngine::new().run_rls(inst, config.order, &grid)?;
     let mut front: ParetoFront<Tagged<TimedSchedule>> = ParetoFront::new();
+    let mut prev: Option<(TimedSchedule, ObjectivePoint)> = None;
     for (delta, result) in runs {
-        let point = ObjectivePoint::of_timed_tasks(inst.tasks(), &result.schedule);
+        let point = match &prev {
+            Some((schedule, point)) if schedule.shares_storage(&result.schedule) => *point,
+            _ => ObjectivePoint::of_timed_tasks(inst.tasks(), &result.schedule),
+        };
+        prev = Some((result.schedule.clone(), point));
         offer_run(
             &mut front,
             delta,

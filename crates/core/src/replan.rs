@@ -138,13 +138,12 @@ impl ReplanEngine {
                     )?;
                     self.stale = false;
                     self.replayed_rounds += run.replayed_rounds() as u64;
-                    let solution = self.solution_of(&run);
                     self.run = run;
-                    return Ok(solution);
+                    return Ok(self.solution_of(self.run.replayed_rounds()));
                 }
                 // Completion mutates neither instance nor schedule:
                 // answer from the cached run, zero rounds replayed.
-                return Ok(self.solution_of(&self.run.reuse()));
+                return Ok(self.solution_of(0));
             }
             CsrDelta::Recost { task, p, s } => {
                 let i = task as usize;
@@ -199,15 +198,14 @@ impl ReplanEngine {
         self.events += 1;
         self.replayed_rounds += next.replayed_rounds() as u64;
         self.total_rounds += self.csr.n() as u64;
-        let solution = self.solution_of(&next);
         self.run = next;
-        Ok(solution)
+        Ok(self.solution_of(self.run.replayed_rounds()))
     }
 
     /// The schedule of the current (mutated) instance, from the cached
     /// run — no rounds replayed.
     pub fn solution(&mut self) -> Solution {
-        self.solution_of(&self.run.reuse())
+        self.solution_of(0)
     }
 
     /// The live instance.
@@ -265,24 +263,33 @@ impl ReplanEngine {
         }
     }
 
-    /// Packages a run as a [`Solution`]. Shared with nothing: the
-    /// from-scratch oracle goes through [`solve_from_scratch`], which
-    /// calls the same [`solution_parts`] so the two are bit-identical
-    /// field by field.
-    fn solution_of(&mut self, run: &ReplanRun) -> Solution {
-        solution_parts(&self.csr, self.m, self.cap, run, &mut self.memory)
+    /// Packages the cached run as a [`Solution`] reporting `rounds`
+    /// replayed rounds (zero when the answer comes straight from the
+    /// cache). The from-scratch oracle goes through
+    /// [`solve_from_scratch`], which calls the same [`solution_parts`]
+    /// so the two are bit-identical field by field.
+    fn solution_of(&mut self, rounds: usize) -> Solution {
+        solution_parts(
+            &self.csr,
+            self.m,
+            self.cap,
+            &self.run,
+            rounds,
+            &mut self.memory,
+        )
     }
 }
 
-/// Builds the replan backend's `Solution` from a finished run — the
-/// single assembly path both [`ReplanEngine::apply`] and the
-/// [`solve_from_scratch`] oracle use, so warm and cold agree bit for
-/// bit on every field.
+/// Builds the replan backend's `Solution` from a finished run, with
+/// `rounds` as its replayed-round count — the single assembly path both
+/// [`ReplanEngine::apply`] and the [`solve_from_scratch`] oracle use,
+/// so warm and cold agree bit for bit on every field.
 fn solution_parts(
     csr: &CsrDag,
     m: usize,
     cap: Option<f64>,
     run: &ReplanRun,
+    rounds: usize,
     memory: &mut Vec<f64>,
 ) -> Solution {
     let schedule = run.outcome().schedule.clone();
@@ -314,7 +321,7 @@ fn solution_parts(
         ratio_bound,
         stats: SolveStats {
             backend: BackendId::KernelReplan,
-            rounds: run.replayed_rounds(),
+            rounds,
             workspace_reused: true,
             bounds: graham_bounds(csr, m),
             cost: None,
@@ -357,8 +364,8 @@ pub fn solve_from_scratch(
 ) -> Result<Solution, ModelError> {
     let rank = Arc::new(index_priority(csr.n()));
     let run = ReplanRun::cold(csr, m, rank, cap, ws)?;
-    let mut memory = Vec::with_capacity(m);
-    Ok(solution_parts(csr, m, cap, &run, &mut memory))
+    let (rounds, mut memory) = (run.replayed_rounds(), Vec::with_capacity(m));
+    Ok(solution_parts(csr, m, cap, &run, rounds, &mut memory))
 }
 
 #[cfg(test)]

@@ -432,7 +432,8 @@ impl<'a> RlsEngine<'a> {
     }
 
     /// Runs RLS∆ at `delta`, warm-starting from the previous run of this
-    /// engine when one exists.
+    /// engine when one exists. When the resume replays nothing, the
+    /// result shares the previous run's schedule buffers: no `O(n)` copy.
     pub fn run(&mut self, delta: f64) -> Result<RlsResult, ModelError> {
         validate_rls_delta(delta)?;
         let config = RlsConfig {
@@ -890,6 +891,21 @@ mod tests {
         // By ∆ = 65 the cap is far beyond any rejection recorded at
         // ∆ = 64, so the final resume replays nothing.
         assert_eq!(engine.replayed_rounds(), Some(0));
+    }
+
+    /// A warm run that replays nothing hands out the previous run's
+    /// schedule buffers instead of a copy; a detached run builds its own.
+    #[test]
+    fn zero_replay_warm_runs_share_the_previous_schedule() {
+        let inst = DagInstance::new(gaussian_elimination(8), 3).unwrap();
+        let mut engine = RlsEngine::new(&inst, PriorityOrder::Index);
+        let first = engine.run(60.0).unwrap();
+        let second = engine.run(64.0).unwrap();
+        assert_eq!(engine.replayed_rounds(), Some(0));
+        assert!(second.schedule.shares_storage(&first.schedule));
+        let detached = engine.run_detached(64.0).unwrap();
+        assert_eq!(detached.schedule, second.schedule);
+        assert!(!detached.schedule.shares_storage(&second.schedule));
     }
 
     /// The workspace-threaded and detached-engine paths must be

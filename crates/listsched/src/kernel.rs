@@ -35,10 +35,11 @@
 //!   `O(m)` sweep;
 //! * **checkpoint/resume for ∆-sweeps** ([`CheckpointedRun`]): a
 //!   memory-capped run records per-round rejection thresholds and
-//!   periodic snapshots of the resumable [`EngineState`], so a later run
-//!   at a larger cap replays only from the first round whose
-//!   admissibility verdict changes (and costs nothing when none does) —
-//!   the warm-start backbone of the incremental Pareto sweeps in
+//!   snapshots of the resumable [`EngineState`] at the stride boundaries
+//!   where a later run can diverge, so a run at a larger cap replays
+//!   only from the first round whose admissibility verdict changes (and
+//!   shares the previous run's output in `O(1)` when none does) — the
+//!   warm-start backbone of the incremental Pareto sweeps in
 //!   `sws_core::pareto_sweep`.
 //!
 //! # Memory story (allocation-free steady state)
@@ -87,7 +88,7 @@ use std::sync::Arc;
 use sws_dag::{CsrDag, DagInstance};
 use sws_model::cancel::CancelProbe;
 use sws_model::error::ModelError;
-use sws_model::numeric::{approx_le, better_candidate, finite_ge, strictly_lt};
+use sws_model::numeric::{approx_le, at_least, better_candidate, finite_ge, strictly_lt};
 use sws_model::schedule::TimedSchedule;
 
 use crate::priority::PriorityRank;
@@ -1304,13 +1305,14 @@ impl EngineState {
 
     /// Copies a completed state (every round executed) into the kernel's
     /// outcome. Borrows instead of consuming so the state's buffers stay
-    /// in the workspace for the next run. The schedule's invariants hold
-    /// by construction (processors come from the heap, starts from
-    /// non-negative keys), so the unchecked constructor skips the
-    /// re-validation passes.
+    /// in the workspace for the next run. Each copy writes straight into
+    /// the schedule's shared buffer (one allocation, no intermediate
+    /// `Vec`). The schedule's invariants hold by construction
+    /// (processors come from the heap, starts from non-negative keys),
+    /// so the unchecked constructor skips the re-validation passes.
     fn finish(&self, m: usize) -> Result<KernelOutcome, ModelError> {
-        let proc_of: Vec<usize> = self.proc_of.iter().map(|&q| q as usize).collect();
-        let schedule = TimedSchedule::new_unchecked(proc_of, self.start.clone(), m);
+        let proc_of: Arc<[usize]> = self.proc_of.iter().map(|&q| q as usize).collect();
+        let schedule = TimedSchedule::new_unchecked(proc_of, &self.start[..], m);
         Ok(KernelOutcome {
             schedule,
             marked: self.marked.clone(),
@@ -1319,7 +1321,8 @@ impl EngineState {
 }
 
 /// Reusable per-run buffers of the scheduling kernel: the resumable
-/// [`EngineState`] plus the per-round scratch. Construct once (per
+/// [`EngineState`], the per-round scratch, and the snapshot staging slot
+/// of [`CheckpointedRun`]s. Construct once (per
 /// thread / per rayon worker), thread `&mut` through any number of runs
 /// — each run re-initializes the buffers without freeing them, so
 /// steady-state scheduling performs no heap allocation beyond the
@@ -1333,6 +1336,10 @@ impl EngineState {
 pub struct KernelWorkspace {
     state: EngineState,
     scratch: StepScratch,
+    /// The current stride's boundary snapshot of a checkpointed run,
+    /// persisted only if that stride records a rejection (see
+    /// [`CheckpointedRun`]); reused across strides and runs otherwise.
+    staged: Checkpoint,
     probe: CancelProbe,
 }
 
@@ -1348,6 +1355,7 @@ impl KernelWorkspace {
         KernelWorkspace {
             state: EngineState::empty(),
             scratch: StepScratch::default(),
+            staged: Checkpoint::empty(),
             probe: CancelProbe::never(),
         }
     }
@@ -1509,6 +1517,47 @@ struct Checkpoint {
     memsize: Vec<f64>,
 }
 
+impl Checkpoint {
+    /// A snapshot with no buffers: the workspace's staging slot before
+    /// its first use, and after a staged snapshot moves out to persist.
+    fn empty() -> Self {
+        Checkpoint {
+            round: 0,
+            state: EngineState::empty(),
+            memsize: Vec::new(),
+        }
+    }
+}
+
+/// The smallest finite rejection threshold of a run, `∞` when no round
+/// rejected a finite value. It is one of the thresholds itself.
+fn reject_floor(reject_min: &[f64]) -> f64 {
+    reject_min
+        .iter()
+        .copied()
+        .filter(|v| v.is_finite())
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The first round whose recorded threshold turns admissible under
+/// `cap`: where a resume at `cap` diverges (`None` when no round does).
+fn first_divergence(reject_min: &[f64], cap: f64) -> Option<usize> {
+    reject_min
+        .iter()
+        // The ∞ sentinel means "no rejection that round"; it must not
+        // hit the tolerant comparison (whose slack is infinite there).
+        .position(|&v| v.is_finite() && approx_le(v, cap))
+}
+
+/// Whether a resume at `cap` diverges in any round, decided from the
+/// run's [`reject_floor`] alone. Same answer as a
+/// [`first_divergence`] scan: `approx_le` is monotone in its first
+/// argument over non-negative operands, so some finite threshold is
+/// admitted under `cap` exactly when the smallest one is.
+fn diverges(floor: f64, cap: f64) -> bool {
+    floor.is_finite() && approx_le(floor, cap)
+}
+
 /// A completed memory-capped kernel run that can be **warm-resumed at a
 /// larger cap**: the checkpoint/resume backbone of the incremental
 /// ∆-sweeps (`sws_core::pareto_sweep`).
@@ -1522,15 +1571,29 @@ struct Checkpoint {
 /// probes stay accepted (the cap only grew) and rejected probes stay
 /// rejected (their values all exceed the round's recorded minimum). The
 /// resume therefore restores the latest snapshot at or before that first
-/// diverging round and re-runs only from there; when no round diverges
-/// the previous outcome is returned as-is, and when the divergence
-/// prefix is shorter than the snapshot stride the restore degenerates to
-/// the initial state — a full recompute.
+/// diverging round and re-runs only from there. By the same monotonicity,
+/// "does any round diverge" is one comparison against the run's smallest
+/// finite threshold, recorded with the run.
 ///
-/// Snapshots, the rejection thresholds, the priority rank and the CSR
-/// instance mirror are shared (`Arc`) between the runs of a chain, so
-/// the no-divergence fast path costs `O(n)` (cloning the outcome), not
-/// `O(n²/stride)`, and the instance is flattened exactly once per chain.
+/// **Zero-replay resumes are `O(1)`.** When no round diverges, the
+/// resume shares the previous run's outcome (whose schedule buffers are
+/// themselves shared), thresholds and snapshot list: it copies nothing
+/// and scans nothing.
+///
+/// **Snapshots are kept only where a resume can restore them.** A
+/// resume can only diverge in a round with a finite threshold, so the
+/// run stages each stride's boundary snapshot in one reused workspace
+/// buffer and persists it only when that stride records a rejection.
+/// Restore-point invariant: a resume diverging in round `d` restores the
+/// boundary `⌊d/stride⌋·stride` (always persisted, since round `d`
+/// itself rejected) and replays `n − ⌊d/stride⌋·stride` rounds — the
+/// same restore point as keeping every snapshot. A run whose cap never
+/// binds persists no snapshot at all. ([`ReplanRun`] keeps every
+/// snapshot: arrivals and re-estimates can diverge in any round.)
+///
+/// The thresholds, the snapshots, the priority rank and the CSR instance
+/// mirror are shared (`Arc`) between the runs of a chain, so the
+/// instance is flattened exactly once per chain.
 ///
 /// The run is **bound to its instance and priority rank at
 /// construction** — a resume always replays against exactly the inputs
@@ -1545,9 +1608,12 @@ pub struct CheckpointedRun<'a> {
     /// `reject_min[r]`: smallest inadmissible `memsize[q] + s` probed in
     /// round `r` (∞ when round `r` rejected nothing).
     reject_min: Arc<Vec<f64>>,
-    /// Snapshots at rounds `0, stride, 2·stride, …` (ascending).
-    checkpoints: Vec<Arc<Checkpoint>>,
-    outcome: KernelOutcome,
+    /// [`reject_floor`] of `reject_min`.
+    reject_floor: f64,
+    /// The boundary snapshot of every stride that recorded a rejection
+    /// (ascending rounds).
+    checkpoints: Arc<Vec<Arc<Checkpoint>>>,
+    outcome: Arc<KernelOutcome>,
     /// Rounds actually executed to produce this run (`n` for a cold run,
     /// `0` when a resume reused the previous outcome wholesale).
     replayed: usize,
@@ -1555,7 +1621,7 @@ pub struct CheckpointedRun<'a> {
 
 impl<'a> CheckpointedRun<'a> {
     /// A from-scratch run with memory cap `cap`, recording rejection
-    /// thresholds and periodic snapshots for later warm resumes.
+    /// thresholds and the snapshots a later warm resume can restore.
     /// One-shot wrapper over [`CheckpointedRun::cold_in`] (fresh CSR
     /// mirror and workspace).
     pub fn cold(
@@ -1583,9 +1649,10 @@ impl<'a> CheckpointedRun<'a> {
         Self::drive(inst, csr, rank, cap, admission, Vec::new(), Vec::new(), ws)
     }
 
-    /// Runs the workspace's state to completion, snapshotting every
-    /// [`checkpoint_stride`] rounds and extending `reject_min` (which
-    /// must already cover the rounds before `state.round`).
+    /// Runs the workspace's state to completion, staging every
+    /// [`checkpoint_stride`] boundary and persisting it once its stride
+    /// records a rejection, and extending `reject_min` (which must
+    /// already cover the rounds before `state.round`).
     #[allow(clippy::too_many_arguments)]
     fn drive(
         inst: &'a DagInstance,
@@ -1602,20 +1669,29 @@ impl<'a> CheckpointedRun<'a> {
         let first = ws.state.round;
         debug_assert_eq!(reject_min.len(), first);
         ws.scratch.clear();
+        // `ws.staged` holds the current stride's boundary, not yet
+        // persisted.
+        let mut staged = false;
         while ws.state.round < n {
             if ws.state.round.is_multiple_of(PROBE_STRIDE) {
                 ws.probe.poll()?;
             }
             if ws.state.round.is_multiple_of(stride) {
-                checkpoints.push(Arc::new(Checkpoint {
-                    round: ws.state.round,
-                    state: ws.state.clone(),
-                    memsize: admission.inner.memsize.clone(),
-                }));
+                ws.staged.round = ws.state.round;
+                ws.staged.state.clone_from(&ws.state);
+                ws.staged.memsize.clone_from(&admission.inner.memsize);
+                staged = true;
             }
             ws.state
                 .step(&csr, &rank, &mut admission, &mut ws.scratch)?;
-            reject_min.push(admission.take_round_min());
+            let threshold = admission.take_round_min();
+            reject_min.push(threshold);
+            if staged && threshold.is_finite() {
+                // A resume can diverge in this stride: keep its boundary.
+                let boundary = std::mem::replace(&mut ws.staged, Checkpoint::empty());
+                checkpoints.push(Arc::new(boundary));
+                staged = false;
+            }
         }
         let outcome = ws.state.finish(inst.m())?;
         Ok(CheckpointedRun {
@@ -1623,9 +1699,10 @@ impl<'a> CheckpointedRun<'a> {
             csr,
             rank,
             cap,
+            reject_floor: reject_floor(&reject_min),
             reject_min: Arc::new(reject_min),
-            checkpoints,
-            outcome,
+            checkpoints: Arc::new(checkpoints),
+            outcome: Arc::new(outcome),
             replayed: n - first,
         })
     }
@@ -1640,12 +1717,14 @@ impl<'a> CheckpointedRun<'a> {
     }
 
     /// [`CheckpointedRun::resume`] with an explicit reusable workspace.
-    /// Requires `new_cap ≥ cap` for the warm path (the verdict
-    /// monotonicity the divergence test relies on); a smaller cap falls
-    /// back to a cold run. The produced schedule is bit-identical to a
-    /// cold run at `new_cap`.
+    /// The warm path needs `new_cap ≥ cap` (the verdict monotonicity
+    /// the divergence test relies on); every other cap — a smaller one,
+    /// or NaN, which is not `≥` anything — runs cold, so warm and cold
+    /// agree on errors too. The produced schedule is bit-identical to a
+    /// cold run at `new_cap`; when no round diverges it *is* this run's
+    /// schedule (shared, not copied).
     pub fn resume_in(&self, new_cap: f64, ws: &mut KernelWorkspace) -> Result<Self, ModelError> {
-        if new_cap < self.cap {
+        if !at_least(new_cap, self.cap) {
             return Self::cold_in(
                 self.inst,
                 Arc::clone(&self.csr),
@@ -1654,39 +1733,33 @@ impl<'a> CheckpointedRun<'a> {
                 ws,
             );
         }
-        let n = self.csr.n();
-        // First round in which a previously rejected probe would now be
-        // admitted; every earlier round replays verbatim.
-        let divergence = self
-            .reject_min
-            .iter()
-            // The ∞ sentinel means "no rejection that round"; it must not
-            // hit the tolerant comparison (whose slack is infinite there).
-            .position(|&v| v.is_finite() && approx_le(v, new_cap))
-            .unwrap_or(n);
-        if divergence >= n {
+        if !diverges(self.reject_floor, new_cap) {
             return Ok(CheckpointedRun {
                 inst: self.inst,
                 csr: Arc::clone(&self.csr),
                 rank: Arc::clone(&self.rank),
                 cap: new_cap,
                 reject_min: Arc::clone(&self.reject_min),
-                checkpoints: self.checkpoints.clone(),
-                outcome: self.outcome.clone(),
+                reject_floor: self.reject_floor,
+                checkpoints: Arc::clone(&self.checkpoints),
+                outcome: Arc::clone(&self.outcome),
                 replayed: 0,
             });
         }
+        // Every round before the first diverging one replays verbatim.
+        let divergence = first_divergence(&self.reject_min, new_cap)
+            .expect("the diverging floor is one of the thresholds");
         let ci = self
             .checkpoints
             .iter()
             .rposition(|c| c.round <= divergence)
-            .expect("a non-empty run always snapshots round 0");
+            .expect("the stride of a diverging round keeps its boundary snapshot");
         let ck = &self.checkpoints[ci];
         // Restore into the workspace's buffers (clone_from reuses their
         // allocations) instead of cloning a fresh state.
         ws.state.clone_from(&ck.state);
         let admission = RecordingCapAdmission::new(ck.memsize.clone(), new_cap);
-        // The replay re-records the snapshot at the restored round, so
+        // The replay re-stages the snapshot at the restored round, so
         // keep only the strictly earlier ones (still valid: the prefix of
         // the new run is identical).
         let reject_min = self.reject_min[..ck.round].to_vec();
@@ -2003,10 +2076,10 @@ impl ReplanRun {
     }
 
     /// This run with zero replayed rounds — the answer when a delta
-    /// provably cannot change the schedule (also used by the replan
-    /// engine in `sws-core` when answering completion events from the
-    /// cached run).
-    pub fn reuse(&self) -> Self {
+    /// provably cannot change the schedule. (The replan engine in
+    /// `sws-core` answers completions from its cached run without
+    /// cloning it.)
+    fn reuse(&self) -> Self {
         let mut run = self.clone();
         run.replayed = 0;
         run
@@ -2535,6 +2608,190 @@ mod tests {
         let cold = CheckpointedRun::cold(&inst, rank, 2.25 * lb).unwrap();
         assert_eq!(back.outcome().schedule, cold.outcome().schedule);
         assert_eq!(back.replayed_rounds(), inst.n());
+    }
+
+    /// A NaN cap is not `≥` the recorded cap, so the resume runs cold
+    /// and fails exactly like a cold run at NaN (every probe rejects).
+    #[test]
+    fn resume_at_a_nan_cap_fails_like_a_cold_run() {
+        let (inst, lb) = capped_instance();
+        let rank = Arc::new(index_priority(inst.n()));
+        let run = CheckpointedRun::cold(&inst, Arc::clone(&rank), 4.0 * lb).unwrap();
+        let warm = run.resume(f64::NAN).unwrap_err();
+        let cold = CheckpointedRun::cold(&inst, rank, f64::NAN).unwrap_err();
+        assert!(
+            matches!(warm, ModelError::MemoryExceeded { .. }),
+            "{warm:?}"
+        );
+        assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+    }
+
+    /// Asserts two schedules agree bit for bit (start times by pattern).
+    fn assert_same_bits(a: &TimedSchedule, b: &TimedSchedule, what: &str) {
+        assert_eq!(a.n(), b.n(), "{what}");
+        for i in 0..a.n() {
+            assert_eq!(a.proc_of(i), b.proc_of(i), "{what}: task {i}");
+            assert_eq!(
+                a.start(i).to_bits(),
+                b.start(i).to_bits(),
+                "{what}: task {i}"
+            );
+        }
+    }
+
+    /// An instance whose memory cap binds at `1.01·LB` in the last
+    /// three strides of the run (and stops binding near `1.2·LB`).
+    fn binding_instance() -> DagInstance {
+        use sws_workloads::{dagsets, TaskDistribution};
+        dagsets::dag_workload(
+            dagsets::DagFamily::LayeredRandom,
+            400,
+            8,
+            TaskDistribution::Uncorrelated,
+            &mut sws_workloads::seeded_rng(7),
+        )
+    }
+
+    #[test]
+    fn zero_replay_resumes_share_the_schedule_and_diverging_ones_do_not() {
+        let inst = binding_instance();
+        let lb = inst.mmax_lower_bound();
+        let rank = Arc::new(index_priority(inst.n()));
+        // Never binds: no snapshot is kept, and the resume is the same
+        // outcome, not a copy of it.
+        let loose = CheckpointedRun::cold(&inst, Arc::clone(&rank), 4.0 * lb).unwrap();
+        assert!(loose.checkpoints.is_empty());
+        let same = loose.resume(8.0 * lb).unwrap();
+        assert_eq!(same.replayed_rounds(), 0);
+        assert!(same
+            .outcome()
+            .schedule
+            .shares_storage(&loose.outcome().schedule));
+        assert!(Arc::ptr_eq(&same.checkpoints, &loose.checkpoints));
+
+        // Binds: a resume at the smallest rejected value diverges and
+        // builds fresh buffers, bit-identical to a cold run.
+        let tight = CheckpointedRun::cold(&inst, Arc::clone(&rank), 1.01 * lb).unwrap();
+        let cap = tight.reject_floor;
+        assert!(cap.is_finite(), "the tight cap must bind");
+        let next = tight.resume(cap).unwrap();
+        assert!(next.replayed_rounds() > 0);
+        assert!(!next
+            .outcome()
+            .schedule
+            .shares_storage(&tight.outcome().schedule));
+        let cold = CheckpointedRun::cold(&inst, rank, cap).unwrap();
+        assert_same_bits(
+            &next.outcome().schedule,
+            &cold.outcome().schedule,
+            "diverging resume",
+        );
+        assert_eq!(next.outcome().marked, cold.outcome().marked);
+    }
+
+    /// Restore-point invariant of the staged snapshots: along a chain
+    /// whose cap binds in several strides, every diverging resume
+    /// restores the boundary of its divergence round's stride, exactly
+    /// as if every stride had kept its snapshot.
+    #[test]
+    fn diverging_resumes_restore_the_stride_boundary_of_the_divergence() {
+        let inst = binding_instance();
+        let n = inst.n();
+        let stride = checkpoint_stride(n);
+        let lb = inst.mmax_lower_bound();
+        let rank = Arc::new(index_priority(n));
+        let csr = Arc::new(inst.csr());
+        let mut ws = KernelWorkspace::new();
+        let mut run = CheckpointedRun::cold_in(
+            &inst,
+            Arc::clone(&csr),
+            Arc::clone(&rank),
+            1.01 * lb,
+            &mut ws,
+        )
+        .unwrap();
+        // Walk the binding regime: each next cap is the previous run's
+        // smallest rejected value, the smallest cap that diverges.
+        let mut boundaries = Vec::new();
+        while run.reject_floor.is_finite() {
+            let cap = run.reject_floor;
+            let d = first_divergence(&run.reject_min, cap).unwrap();
+            let boundary = d / stride * stride;
+            assert!(
+                run.checkpoints.iter().any(|c| c.round == boundary),
+                "d = {d}: boundary {boundary} not kept"
+            );
+            let next = run.resume_in(cap, &mut ws).unwrap();
+            assert_eq!(next.replayed_rounds(), n - boundary, "d = {d}");
+            let cold = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+            assert_same_bits(&next.outcome().schedule, &cold.outcome().schedule, "chain");
+            assert_eq!(next.checkpoints.len(), cold.checkpoints.len());
+            boundaries.push(boundary);
+            run = next;
+        }
+        boundaries.dedup();
+        assert!(
+            boundaries.len() >= 2 && boundaries[0] > 0,
+            "restored boundaries {boundaries:?}: the chain must bind across strides"
+        );
+        // Once the cap stops binding, no stride keeps its snapshot.
+        assert!(run.checkpoints.is_empty());
+    }
+
+    // Inputs for the cached-threshold property: caps in every regime
+    // (relative slack, absolute slack, zero, ∞, NaN) and thresholds that
+    // straddle each cap's tolerance boundary by one ulp.
+    fn threshold_cap(kind: u32, u: f64) -> f64 {
+        match kind {
+            0 => f64::INFINITY,
+            1 => f64::NAN,
+            2 => 0.0,
+            3 => u * 1e-10,
+            _ => u * 1e6,
+        }
+    }
+
+    fn threshold_value(kind: u32, u: f64, cap: f64) -> f64 {
+        use sws_model::numeric::{ABS_TOL, REL_TOL};
+        let c = if cap.is_finite() { cap } else { 1.0 };
+        let edge =
+            [c, c * (1.0 + REL_TOL), c / (1.0 - REL_TOL), c + ABS_TOL][(u * 4.0) as usize % 4];
+        match kind {
+            0 => f64::INFINITY,
+            1 => 0.0,
+            2 => -0.0,
+            3 => edge.next_down(),
+            4 => edge,
+            5 => edge.next_up(),
+            6 => u * 2.0 * c,
+            _ => u * 1e7,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The resume's "does any round diverge" test against the cached
+        /// floor gives the same answer as the linear scan it replaced.
+        #[test]
+        fn cached_threshold_test_equals_the_linear_scan(
+            (cap_kind, cap_u) in (0u32..6, 0.0f64..1.0),
+            draws in proptest::collection::vec((0u32..8, 0.0f64..1.0), 0..24),
+        ) {
+            let cap = threshold_cap(cap_kind, cap_u);
+            let values: Vec<f64> = draws
+                .iter()
+                .map(|&(k, u)| threshold_value(k, u, cap))
+                .collect();
+            let floor = reject_floor(&values);
+            proptest::prop_assert_eq!(
+                diverges(floor, cap),
+                first_divergence(&values, cap).is_some(),
+                "cap {:?}, values {:?}",
+                cap,
+                values
+            );
+        }
     }
 
     // --- ReplanRun: warm-starting across instance deltas -------------

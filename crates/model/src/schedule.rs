@@ -5,6 +5,8 @@
 //! so start times are irrelevant. With precedence constraints the starting
 //! time `σ(i)` matters and we use [`TimedSchedule`].
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::ModelError;
@@ -117,14 +119,21 @@ impl Assignment {
     /// independent tasks but are needed by the simulator and the ΣCi
     /// objective.
     pub fn into_timed(&self, tasks: &TaskSet) -> TimedSchedule {
-        let mut start = vec![0.0; self.proc_of.len()];
         let mut clock = vec![0.0; self.m];
-        for (i, &q) in self.proc_of.iter().enumerate() {
-            start[i] = clock[q];
-            clock[q] += tasks.get(i).p;
-        }
+        // Index order is the packing order, so the starts stream straight
+        // into the shared buffer.
+        let start = self
+            .proc_of
+            .iter()
+            .enumerate()
+            .map(|(i, &q)| {
+                let s = clock[q];
+                clock[q] += tasks.get(i).p;
+                s
+            })
+            .collect();
         TimedSchedule {
-            proc_of: self.proc_of.clone(),
+            proc_of: Arc::from(&self.proc_of[..]),
             start,
             m: self.m,
         }
@@ -141,18 +150,25 @@ impl Assignment {
             clock[q] += tasks.get(i).p;
         }
         TimedSchedule {
-            proc_of: self.proc_of.clone(),
-            start,
+            proc_of: Arc::from(&self.proc_of[..]),
+            start: start.into(),
             m: self.m,
         }
     }
 }
 
 /// A timed schedule: processor assignment `π` plus starting times `σ`.
+///
+/// A schedule is **immutable once built**, and its `π`/`σ` buffers are
+/// **shared**: `clone` bumps two reference counts instead of copying
+/// `O(n)` data, so a warm ∆-sweep chain can hand the same schedule to
+/// every grid point it did not change. Equality still compares
+/// contents; [`TimedSchedule::shares_storage`] tells whether two
+/// schedules are the same buffers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimedSchedule {
-    proc_of: Vec<usize>,
-    start: Vec<f64>,
+    proc_of: Arc<[usize]>,
+    start: Arc<[f64]>,
     m: usize,
 }
 
@@ -179,20 +195,38 @@ impl TimedSchedule {
                 return Err(ModelError::NegativeStart { task, start: s });
             }
         }
-        Ok(TimedSchedule { proc_of, start, m })
+        Ok(TimedSchedule {
+            proc_of: proc_of.into(),
+            start: start.into(),
+            m,
+        })
     }
 
     /// Builds a timed schedule without the `O(n)` validation passes, for
     /// construction sites whose invariants hold by construction (the
     /// scheduling kernel emits one schedule per run on its throughput
-    /// path). Debug builds still assert the [`TimedSchedule::new`]
-    /// invariants.
-    pub fn new_unchecked(proc_of: Vec<usize>, start: Vec<f64>, m: usize) -> Self {
+    /// path, writing straight into already shared buffers, which are
+    /// taken as they are). Debug builds still assert the
+    /// [`TimedSchedule::new`] invariants.
+    pub fn new_unchecked(
+        proc_of: impl Into<Arc<[usize]>>,
+        start: impl Into<Arc<[f64]>>,
+        m: usize,
+    ) -> Self {
+        let (proc_of, start) = (proc_of.into(), start.into());
         debug_assert!(m >= 1);
         debug_assert_eq!(proc_of.len(), start.len());
         debug_assert!(proc_of.iter().all(|&q| q < m));
         debug_assert!(start.iter().all(|&s| s.is_finite() && s >= 0.0));
         TimedSchedule { proc_of, start, m }
+    }
+
+    /// Whether `self` and `other` are the same buffers (one a clone of
+    /// the other), not just equal contents. `O(1)`: callers use it to
+    /// skip recomputing anything derived from an unchanged schedule.
+    #[inline]
+    pub fn shares_storage(&self, other: &TimedSchedule) -> bool {
+        Arc::ptr_eq(&self.proc_of, &other.proc_of) && Arc::ptr_eq(&self.start, &other.start)
     }
 
     /// Number of tasks.
@@ -228,7 +262,7 @@ impl TimedSchedule {
     /// The underlying assignment (dropping start times).
     pub fn assignment(&self) -> Assignment {
         Assignment {
-            proc_of: self.proc_of.clone(),
+            proc_of: self.proc_of.to_vec(),
             m: self.m,
         }
     }

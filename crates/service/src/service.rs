@@ -235,10 +235,14 @@ impl Shared {
         global.queued = gauges.iter().map(|g| g.depth).sum();
         global.deficit = gauges.iter().map(|g| g.deficit).sum();
         global.head_wait = gauges.iter().filter_map(|g| g.head_wait).max();
+        // The total comes from the same locked gauge read as the lanes,
+        // not a second lock acquisition a worker's pop can slip between:
+        // the snapshot's depths agree even while the queue drains.
+        let queue_depth = global.queued;
         ServiceStats {
             global,
             tenants,
-            queue_depth: self.queue.depth(),
+            queue_depth,
             queue_capacity: self.queue.capacity(),
         }
     }
