@@ -12,7 +12,7 @@
 //! * the instance mutates **in place** (`CsrDag::apply_delta` — no
 //!   graph rebuild, no re-flattening),
 //! * the kernel run warm-starts from the first affected round
-//!   ([`ReplanRun::replan`] — see its docs for the round math),
+//!   ([`CheckpointedRun::replan`] — see its docs for the round math),
 //! * the produced [`Solution`] is **bit-identical** to a from-scratch
 //!   solve of the mutated instance ([`solve_from_scratch`], the
 //!   differential oracle the simulator suite replays against).
@@ -34,35 +34,38 @@
 use std::sync::Arc;
 
 use sws_dag::{CsrDag, CsrDelta};
-use sws_listsched::kernel::{CostShift, KernelWorkspace, ReplanDelta, ReplanRun};
-use sws_listsched::priority::{index_priority, PriorityRank};
+use sws_listsched::kernel::{
+    event_driven_schedule_csr, CheckpointedRun, CostShift, KernelWorkspace, MemoryCapAdmission,
+    ReplanDelta, Unrestricted,
+};
+use sws_listsched::priority::index_priority;
 use sws_model::error::ModelError;
 use sws_model::numeric::max_or_zero;
 use sws_model::objectives::ObjectivePoint;
+use sws_model::schedule::TimedSchedule;
 use sws_model::solve::{
     BackendId, BoundReport, BoundSource, CostEstimate, Guarantee, Solution, SolveStats,
 };
 
 /// A live incremental-replanning session over one mutating instance.
 ///
-/// Holds the instance (`Arc<CsrDag>`, mutated in place between solves),
-/// the latest [`ReplanRun`] (checkpoints + per-round records) and one
-/// reusable [`KernelWorkspace`]; [`ReplanEngine::apply`] folds one
-/// [`CsrDelta`] into all three and returns the schedule of the mutated
-/// instance.
+/// Holds the latest session-policy [`CheckpointedRun`] (which owns the
+/// instance, an `Arc<CsrDag>` mutated in place between solves, beside
+/// its checkpoints and per-round records) and one reusable
+/// [`KernelWorkspace`]; [`ReplanEngine::apply`] folds one [`CsrDelta`]
+/// into both and returns the schedule of the mutated instance.
 ///
 /// The session's admission policy is **fixed at open**: `None` caps
-/// nothing (Graham DAG list scheduling), `Some(cap)` enforces the
-/// paper's per-processor memory cap. Machines do not grow RAM mid-run;
-/// cap *sweeps* stay with `sws_core::pareto_sweep`.
+/// nothing (Graham DAG list scheduling — the kernel run's cap `+∞`),
+/// `Some(cap)` enforces the paper's per-processor memory cap. Machines
+/// do not grow RAM mid-run; cap *sweeps* stay with
+/// `sws_core::pareto_sweep`.
 #[derive(Debug)]
 pub struct ReplanEngine {
-    csr: Arc<CsrDag>,
     m: usize,
     cap: Option<f64>,
-    rank: Arc<PriorityRank>,
     ws: KernelWorkspace,
-    run: ReplanRun,
+    run: CheckpointedRun,
     /// `completed[i]`: task `i` finished executing — pinned against
     /// later re-estimates.
     completed: Vec<bool>,
@@ -88,14 +91,13 @@ impl ReplanEngine {
             return Err(ModelError::NoProcessors);
         }
         let n = csr.n();
-        let rank = Arc::new(index_priority(n));
         let mut ws = KernelWorkspace::with_capacity(n, m);
-        let run = ReplanRun::cold(&csr, m, Arc::clone(&rank), cap, &mut ws)?;
+        let rank = Arc::new(index_priority(n));
+        let kernel_cap = cap.unwrap_or(f64::INFINITY);
+        let run = CheckpointedRun::session(Arc::new(csr), m, rank, kernel_cap, &mut ws)?;
         Ok(ReplanEngine {
-            csr: Arc::new(csr),
             m,
             cap,
-            rank,
             ws,
             run,
             completed: vec![false; n],
@@ -117,33 +119,16 @@ impl ReplanEngine {
     /// turning infeasible; the delta has already been applied then, and
     /// [`solve_from_scratch`] on the mutated instance fails with the
     /// same error — infeasibility is part of the bit-identity contract.
-    /// The session keeps serving if a later delta (say a re-estimate
+    /// A failed apply changes none of the session's counters. The
+    /// session keeps serving if a later delta (say a re-estimate
     /// shrinking the offending task) restores feasibility.
     pub fn apply(&mut self, delta: &CsrDelta) -> Result<Solution, ModelError> {
-        delta.validate(self.csr.n())?;
+        let csr = self.run.csr();
+        delta.validate(csr.n())?;
         let kdelta = match *delta {
             CsrDelta::CompleteTask { task } => {
                 self.completed[task as usize] = true;
-                self.events += 1;
-                self.total_rounds += self.csr.n() as u64;
-                if self.stale {
-                    // A failed capped apply left the cached run behind
-                    // the instance: refresh cold before answering.
-                    let run = ReplanRun::cold(
-                        &self.csr,
-                        self.m,
-                        Arc::clone(&self.rank),
-                        self.cap,
-                        &mut self.ws,
-                    )?;
-                    self.stale = false;
-                    self.replayed_rounds += run.replayed_rounds() as u64;
-                    self.run = run;
-                    return Ok(self.solution_of(self.run.replayed_rounds()));
-                }
-                // Completion mutates neither instance nor schedule:
-                // answer from the cached run, zero rounds replayed.
-                return Ok(self.solution_of(0));
+                None
             }
             CsrDelta::Recost { task, p, s } => {
                 let i = task as usize;
@@ -154,52 +139,52 @@ impl ReplanEngine {
                         constraint: "completed tasks cannot be re-estimated",
                     });
                 }
-                let p_changed = p.is_some_and(|v| v != self.csr.p(i));
                 let s_shift = match s {
-                    Some(v) if v < self.csr.s(i) => CostShift::Lowered,
-                    Some(v) if v > self.csr.s(i) => CostShift::Raised,
+                    Some(v) if v < csr.s(i) => CostShift::Lowered,
+                    Some(v) if v > csr.s(i) => CostShift::Raised,
                     _ => CostShift::Unchanged,
                 };
-                ReplanDelta::Recost {
+                Some(ReplanDelta::Recost {
                     task,
-                    p_changed,
+                    p_changed: p.is_some_and(|v| v != csr.p(i)),
                     s_shift,
-                }
+                })
             }
-            CsrDelta::AddTask { .. } => ReplanDelta::Arrival,
+            CsrDelta::AddTask { .. } => Some(ReplanDelta::Arrival),
         };
-        Arc::make_mut(&mut self.csr).apply_delta(delta)?;
-        if matches!(kdelta, ReplanDelta::Arrival) {
-            self.completed.push(false);
-            self.rank = Arc::new(index_priority(self.csr.n()));
+        if kdelta.is_some() {
+            self.run.csr_mut().apply_delta(delta)?;
         }
-        let next = if self.stale {
-            // The cached run predates a failed capped apply — it cannot
-            // seed a replay of the twice-mutated instance; solve cold.
-            ReplanRun::cold(
-                &self.csr,
-                self.m,
-                Arc::clone(&self.rank),
-                self.cap,
-                &mut self.ws,
-            )
+        let n = self.n();
+        if kdelta == Some(ReplanDelta::Arrival) {
+            self.completed.push(false);
+        }
+        let rounds = if kdelta.is_none() && !self.stale {
+            // Completion mutates neither instance nor schedule: answer
+            // from the cached run, zero rounds replayed.
+            0
         } else {
-            self.run
-                .replan(&self.csr, Arc::clone(&self.rank), kdelta, &mut self.ws)
+            let rank = match self.run.rank() {
+                same if same.len() == n => Arc::clone(same),
+                _ => Arc::new(index_priority(n)),
+            };
+            let next = match kdelta {
+                Some(kdelta) if !self.stale => self.run.replan(&rank, kdelta, &mut self.ws),
+                // A failed capped apply left the cached run behind the
+                // instance: it cannot seed a replay, so solve cold.
+                _ => {
+                    let (csr, cap) = (Arc::clone(self.run.csr()), self.run.cap());
+                    CheckpointedRun::session(csr, self.m, rank, cap, &mut self.ws)
+                }
+            };
+            self.stale = next.is_err();
+            self.run = next?;
+            self.run.replayed_rounds()
         };
-        let next = match next {
-            Ok(run) => run,
-            Err(e) => {
-                self.stale = true;
-                return Err(e);
-            }
-        };
-        self.stale = false;
         self.events += 1;
-        self.replayed_rounds += next.replayed_rounds() as u64;
-        self.total_rounds += self.csr.n() as u64;
-        self.run = next;
-        Ok(self.solution_of(self.run.replayed_rounds()))
+        self.replayed_rounds += rounds as u64;
+        self.total_rounds += n as u64;
+        Ok(self.solution_of(rounds))
     }
 
     /// The schedule of the current (mutated) instance, from the cached
@@ -210,12 +195,12 @@ impl ReplanEngine {
 
     /// The live instance.
     pub fn csr(&self) -> &Arc<CsrDag> {
-        &self.csr
+        self.run.csr()
     }
 
     /// Number of tasks currently in the instance.
     pub fn n(&self) -> usize {
-        self.csr.n()
+        self.csr().n()
     }
 
     /// Number of processors.
@@ -254,11 +239,17 @@ impl ReplanEngine {
     /// The work estimate for the *next* event: the kernel estimate of
     /// the full instance scaled by the observed replay fraction — the
     /// "incremental work, not a full solve" number the service layer
-    /// gates session events on.
+    /// gates session events on. A stale session's next event is a cold
+    /// solve, so it is priced at the full estimate.
     pub fn estimated_event_cost(&self) -> CostEstimate {
-        let full = CostEstimate::kernel(self.csr.n(), self.csr.edge_count());
+        let full = CostEstimate::kernel(self.n(), self.csr().edge_count());
+        let fraction = if self.stale {
+            1.0
+        } else {
+            self.replay_fraction()
+        };
         CostEstimate {
-            work: full.work * self.replay_fraction(),
+            work: full.work * fraction,
             model: full.model,
         }
     }
@@ -269,30 +260,26 @@ impl ReplanEngine {
     /// [`solve_from_scratch`], which calls the same [`solution_parts`]
     /// so the two are bit-identical field by field.
     fn solution_of(&mut self, rounds: usize) -> Solution {
-        solution_parts(
-            &self.csr,
-            self.m,
-            self.cap,
-            &self.run,
-            rounds,
-            &mut self.memory,
-        )
+        let schedule = &self.run.outcome().schedule;
+        let (csr, m, cap) = (self.run.csr(), self.m, self.cap);
+        solution_parts(csr, m, cap, schedule, rounds, &mut self.memory)
     }
 }
 
-/// Builds the replan backend's `Solution` from a finished run, with
-/// `rounds` as its replayed-round count — the single assembly path both
-/// [`ReplanEngine::apply`] and the [`solve_from_scratch`] oracle use,
-/// so warm and cold agree bit for bit on every field.
+/// Builds the replan backend's `Solution` from a finished run's
+/// schedule, with `rounds` as its replayed-round count — the single
+/// assembly path both [`ReplanEngine::apply`] and the
+/// [`solve_from_scratch`] oracle use, so warm and cold agree bit for bit
+/// on every field.
 fn solution_parts(
     csr: &CsrDag,
     m: usize,
     cap: Option<f64>,
-    run: &ReplanRun,
+    schedule: &TimedSchedule,
     rounds: usize,
     memory: &mut Vec<f64>,
 ) -> Solution {
-    let schedule = run.outcome().schedule.clone();
+    let schedule = schedule.clone();
     let n = csr.n();
     memory.clear();
     memory.resize(m, 0.0);
@@ -355,17 +342,33 @@ fn graham_bounds(csr: &CsrDag, m: usize) -> BoundReport {
 /// The differential oracle: a from-scratch solve of (the current state
 /// of) a mutating instance, producing exactly the `Solution` a
 /// [`ReplanEngine`] session at the same cap returns — the bit-identity
-/// contract the simulator replays event streams against.
+/// contract the simulator replays event streams against. It runs the
+/// plain kernel, not the recorded run (uncapped through
+/// [`Unrestricted`], not the session's cap `+∞`), so the contract also
+/// pins that the two admit the same processors.
 pub fn solve_from_scratch(
     csr: &CsrDag,
     m: usize,
     cap: Option<f64>,
     ws: &mut KernelWorkspace,
 ) -> Result<Solution, ModelError> {
-    let rank = Arc::new(index_priority(csr.n()));
-    let run = ReplanRun::cold(csr, m, rank, cap, ws)?;
-    let (rounds, mut memory) = (run.replayed_rounds(), Vec::with_capacity(m));
-    Ok(solution_parts(csr, m, cap, &run, rounds, &mut memory))
+    let rank = index_priority(csr.n());
+    let outcome = match cap {
+        None => event_driven_schedule_csr(csr, m, &rank, &mut Unrestricted, ws)?,
+        Some(c) => {
+            let mut admission = MemoryCapAdmission::new(m, c);
+            event_driven_schedule_csr(csr, m, &rank, &mut admission, ws)?
+        }
+    };
+    let mut memory = Vec::with_capacity(m);
+    Ok(solution_parts(
+        csr,
+        m,
+        cap,
+        &outcome.schedule,
+        csr.n(),
+        &mut memory,
+    ))
 }
 
 #[cfg(test)]
@@ -482,5 +485,78 @@ mod tests {
             engine.estimated_event_cost().work < full,
             "a zero-replay event must lower the incremental estimate"
         );
+    }
+
+    /// A failed apply changes no counter, whatever the delta kind, and
+    /// a stale session prices its next event as the full cold solve it
+    /// is, not at the replay fraction of the events before.
+    #[test]
+    fn a_stale_session_is_priced_as_a_cold_solve() {
+        let mut engine = ReplanEngine::open(diamond_csr(), 2, Some(5.0)).unwrap();
+        engine.apply(&CsrDelta::CompleteTask { task: 0 }).unwrap();
+        assert_eq!(
+            engine.replay_fraction(),
+            0.0,
+            "a completion replays nothing"
+        );
+        let oversized = CsrDelta::AddTask {
+            preds: vec![],
+            p: 1.0,
+            s: 100.0,
+        };
+        assert!(
+            engine.apply(&oversized).is_err(),
+            "s = 100 fits under no cap of 5"
+        );
+        let full = CostEstimate::kernel(engine.n(), engine.csr().edge_count()).work;
+        for task in 1..4 {
+            let err = engine.apply(&CsrDelta::CompleteTask { task });
+            assert!(err.is_err(), "the cold re-solve stays infeasible");
+            assert_eq!(engine.events(), 1);
+            assert_eq!(engine.replay_fraction(), 0.0);
+            assert_eq!(engine.estimated_event_cost().work, full);
+        }
+        // Shrinking the arrival restores feasibility: one counted event.
+        let fix = CsrDelta::Recost {
+            task: 4,
+            p: None,
+            s: Some(1.0),
+        };
+        let sol = engine.apply(&fix).unwrap();
+        assert_eq!(sol.stats.rounds, engine.n(), "the recovery is a cold solve");
+        assert_eq!(engine.events(), 2);
+        assert!(engine.estimated_event_cost().work < full);
+        let mut ws = KernelWorkspace::new();
+        let oracle = solve_from_scratch(engine.csr(), 2, Some(5.0), &mut ws).unwrap();
+        assert_eq!(sol.schedule, oracle.schedule);
+    }
+
+    /// The session's run is the only holder of the instance, so every
+    /// delta mutates it in place: a second holder would make
+    /// `Arc::make_mut` copy the whole instance on every event.
+    #[test]
+    fn the_instance_is_mutated_in_place_across_a_mixed_stream() {
+        use sws_workloads::deltas::{delta_stream, DeltaStreamConfig};
+        use sws_workloads::{dagsets, seeded_rng, TaskDistribution};
+        let mut rng = seeded_rng(11);
+        let dag = dagsets::dag_workload(
+            dagsets::DagFamily::LayeredRandom,
+            200,
+            4,
+            TaskDistribution::Uncorrelated,
+            &mut rng,
+        );
+        let stream = delta_stream(dag.n(), 200, &DeltaStreamConfig::mixed(), &mut rng);
+        let mut engine = ReplanEngine::open(dag.csr(), 4, None).unwrap();
+        let instance = Arc::as_ptr(engine.csr());
+        for (k, delta) in stream.iter().enumerate() {
+            engine.apply(delta).unwrap();
+            assert_eq!(
+                Arc::as_ptr(engine.csr()),
+                instance,
+                "event {k} copied the instance"
+            );
+        }
+        assert_eq!(engine.events(), 200);
     }
 }

@@ -384,7 +384,7 @@ pub struct RlsEngine<'a> {
     ws: KernelWorkspace,
     /// Reusable admissibility predicate for detached runs.
     admission: MemoryCapAdmission,
-    last: Option<CheckpointedRun<'a>>,
+    last: Option<CheckpointedRun>,
 }
 
 impl<'a> RlsEngine<'a> {

@@ -87,8 +87,10 @@ impl InnerAlgorithm {
 /// Configuration of one SBO∆ run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SboConfig {
-    /// The trade-off parameter `∆ > 0`: small values favour memory, large
-    /// values favour the makespan.
+    /// The trade-off parameter `∆ > 0`: a task goes to the memory
+    /// schedule π₂ when `p_i·M < ∆·s_i·C`, so a larger ∆ sends more tasks
+    /// there and favours memory, a smaller one favours the makespan (the
+    /// guarantee `((1 + ∆)·ρ₁, (1 + 1/∆)·ρ₂)` moves the same way).
     pub delta: f64,
     /// The single-objective scheduler used for both inner schedules.
     pub inner: InnerAlgorithm,

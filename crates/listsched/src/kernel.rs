@@ -33,14 +33,15 @@
 //!   winning probe are exactly the "marked" processors of the paper's
 //!   analysis, so marking costs `O(#skipped)` instead of a per-candidate
 //!   `O(m)` sweep;
-//! * **checkpoint/resume for ∆-sweeps** ([`CheckpointedRun`]): a
-//!   memory-capped run records per-round rejection thresholds and
-//!   snapshots of the resumable [`EngineState`] at the stride boundaries
-//!   where a later run can diverge, so a run at a larger cap replays
-//!   only from the first round whose admissibility verdict changes (and
-//!   shares the previous run's output in `O(1)` when none does) — the
-//!   warm-start backbone of the incremental Pareto sweeps in
-//!   `sws_core::pareto_sweep`.
+//! * **checkpoint/replay** ([`CheckpointedRun`]): a run records each
+//!   round's placement and rejection threshold, plus snapshots of the
+//!   resumable [`EngineState`] at stride boundaries, so a run at a
+//!   larger cap, or on an instance changed by an arrival or a cost
+//!   re-estimate, replays only from the first round the change can
+//!   affect (and shares the previous run's output in `O(1)` when none
+//!   is) — the one warm-start engine behind the incremental Pareto
+//!   sweeps of `sws_core::pareto_sweep` and the replan sessions of
+//!   `sws_core::replan`.
 //!
 //! # Memory story (allocation-free steady state)
 //!
@@ -1452,6 +1453,8 @@ pub const PROBE_STRIDE: usize = 64;
 /// the smallest inadmissible `memsize[q] + s` value probed. Interior
 /// mutability because [`Admission::admits`] takes `&self` (heap probes
 /// borrow the predicate immutably).
+/// At cap `+∞` it admits everything and records nothing (see
+/// [`CheckpointedRun`]).
 #[derive(Debug)]
 struct RecordingCapAdmission {
     inner: MemoryCapAdmission,
@@ -1558,325 +1561,6 @@ fn diverges(floor: f64, cap: f64) -> bool {
     floor.is_finite() && approx_le(floor, cap)
 }
 
-/// A completed memory-capped kernel run that can be **warm-resumed at a
-/// larger cap**: the checkpoint/resume backbone of the incremental
-/// ∆-sweeps (`sws_core::pareto_sweep`).
-///
-/// During the run, every admissibility rejection records the value
-/// `memsize[q] + s` that was refused; `reject_min[r]` keeps the smallest
-/// such value of round `r`. Because [`sws_model::numeric::approx_le`] is
-/// monotone in both arguments over non-negative operands, a run at a cap
-/// `cap' ≥ cap` executes **identically** up to the first round whose
-/// smallest rejected value becomes admissible under `cap'` — accepted
-/// probes stay accepted (the cap only grew) and rejected probes stay
-/// rejected (their values all exceed the round's recorded minimum). The
-/// resume therefore restores the latest snapshot at or before that first
-/// diverging round and re-runs only from there. By the same monotonicity,
-/// "does any round diverge" is one comparison against the run's smallest
-/// finite threshold, recorded with the run.
-///
-/// **Zero-replay resumes are `O(1)`.** When no round diverges, the
-/// resume shares the previous run's outcome (whose schedule buffers are
-/// themselves shared), thresholds and snapshot list: it copies nothing
-/// and scans nothing.
-///
-/// **Snapshots are kept only where a resume can restore them.** A
-/// resume can only diverge in a round with a finite threshold, so the
-/// run stages each stride's boundary snapshot in one reused workspace
-/// buffer and persists it only when that stride records a rejection.
-/// Restore-point invariant: a resume diverging in round `d` restores the
-/// boundary `⌊d/stride⌋·stride` (always persisted, since round `d`
-/// itself rejected) and replays `n − ⌊d/stride⌋·stride` rounds — the
-/// same restore point as keeping every snapshot. A run whose cap never
-/// binds persists no snapshot at all. ([`ReplanRun`] keeps every
-/// snapshot: arrivals and re-estimates can diverge in any round.)
-///
-/// The thresholds, the snapshots, the priority rank and the CSR instance
-/// mirror are shared (`Arc`) between the runs of a chain, so the
-/// instance is flattened exactly once per chain.
-///
-/// The run is **bound to its instance and priority rank at
-/// construction** — a resume always replays against exactly the inputs
-/// the checkpoints were recorded under, so there is no way to mix the
-/// snapshots of one instance with the tasks of another.
-#[derive(Debug, Clone)]
-pub struct CheckpointedRun<'a> {
-    inst: &'a DagInstance,
-    csr: Arc<CsrDag>,
-    rank: Arc<PriorityRank>,
-    cap: f64,
-    /// `reject_min[r]`: smallest inadmissible `memsize[q] + s` probed in
-    /// round `r` (∞ when round `r` rejected nothing).
-    reject_min: Arc<Vec<f64>>,
-    /// [`reject_floor`] of `reject_min`.
-    reject_floor: f64,
-    /// The boundary snapshot of every stride that recorded a rejection
-    /// (ascending rounds).
-    checkpoints: Arc<Vec<Arc<Checkpoint>>>,
-    outcome: Arc<KernelOutcome>,
-    /// Rounds actually executed to produce this run (`n` for a cold run,
-    /// `0` when a resume reused the previous outcome wholesale).
-    replayed: usize,
-}
-
-impl<'a> CheckpointedRun<'a> {
-    /// A from-scratch run with memory cap `cap`, recording rejection
-    /// thresholds and the snapshots a later warm resume can restore.
-    /// One-shot wrapper over [`CheckpointedRun::cold_in`] (fresh CSR
-    /// mirror and workspace).
-    pub fn cold(
-        inst: &'a DagInstance,
-        rank: Arc<PriorityRank>,
-        cap: f64,
-    ) -> Result<Self, ModelError> {
-        let mut ws = KernelWorkspace::with_capacity(inst.n(), inst.m());
-        Self::cold_in(inst, Arc::new(inst.csr()), rank, cap, &mut ws)
-    }
-
-    /// [`CheckpointedRun::cold`] with an explicit shared CSR mirror and
-    /// reusable workspace — the sweep-engine path, where one chain runs
-    /// many caps over one instance.
-    pub fn cold_in(
-        inst: &'a DagInstance,
-        csr: Arc<CsrDag>,
-        rank: Arc<PriorityRank>,
-        cap: f64,
-        ws: &mut KernelWorkspace,
-    ) -> Result<Self, ModelError> {
-        assert_eq!(csr.n(), inst.n(), "CSR mirror must match the instance");
-        ws.state.init(&csr, inst.m(), &rank);
-        let admission = RecordingCapAdmission::new(vec![0.0; inst.m()], cap);
-        Self::drive(inst, csr, rank, cap, admission, Vec::new(), Vec::new(), ws)
-    }
-
-    /// Runs the workspace's state to completion, staging every
-    /// [`checkpoint_stride`] boundary and persisting it once its stride
-    /// records a rejection, and extending `reject_min` (which must
-    /// already cover the rounds before `state.round`).
-    #[allow(clippy::too_many_arguments)]
-    fn drive(
-        inst: &'a DagInstance,
-        csr: Arc<CsrDag>,
-        rank: Arc<PriorityRank>,
-        cap: f64,
-        mut admission: RecordingCapAdmission,
-        mut reject_min: Vec<f64>,
-        mut checkpoints: Vec<Arc<Checkpoint>>,
-        ws: &mut KernelWorkspace,
-    ) -> Result<Self, ModelError> {
-        let n = csr.n();
-        let stride = checkpoint_stride(n);
-        let first = ws.state.round;
-        debug_assert_eq!(reject_min.len(), first);
-        ws.scratch.clear();
-        // `ws.staged` holds the current stride's boundary, not yet
-        // persisted.
-        let mut staged = false;
-        while ws.state.round < n {
-            if ws.state.round.is_multiple_of(PROBE_STRIDE) {
-                ws.probe.poll()?;
-            }
-            if ws.state.round.is_multiple_of(stride) {
-                ws.staged.round = ws.state.round;
-                ws.staged.state.clone_from(&ws.state);
-                ws.staged.memsize.clone_from(&admission.inner.memsize);
-                staged = true;
-            }
-            ws.state
-                .step(&csr, &rank, &mut admission, &mut ws.scratch)?;
-            let threshold = admission.take_round_min();
-            reject_min.push(threshold);
-            if staged && threshold.is_finite() {
-                // A resume can diverge in this stride: keep its boundary.
-                let boundary = std::mem::replace(&mut ws.staged, Checkpoint::empty());
-                checkpoints.push(Arc::new(boundary));
-                staged = false;
-            }
-        }
-        let outcome = ws.state.finish(inst.m())?;
-        Ok(CheckpointedRun {
-            inst,
-            csr,
-            rank,
-            cap,
-            reject_floor: reject_floor(&reject_min),
-            reject_min: Arc::new(reject_min),
-            checkpoints: Arc::new(checkpoints),
-            outcome: Arc::new(outcome),
-            replayed: n - first,
-        })
-    }
-
-    /// Warm-starts a run at `new_cap` against the instance and rank this
-    /// run was built from, reusing the longest prefix whose admissibility
-    /// verdicts are unchanged. One-shot wrapper over
-    /// [`CheckpointedRun::resume_in`] (fresh workspace).
-    pub fn resume(&self, new_cap: f64) -> Result<Self, ModelError> {
-        let mut ws = KernelWorkspace::new();
-        self.resume_in(new_cap, &mut ws)
-    }
-
-    /// [`CheckpointedRun::resume`] with an explicit reusable workspace.
-    /// The warm path needs `new_cap ≥ cap` (the verdict monotonicity
-    /// the divergence test relies on); every other cap — a smaller one,
-    /// or NaN, which is not `≥` anything — runs cold, so warm and cold
-    /// agree on errors too. The produced schedule is bit-identical to a
-    /// cold run at `new_cap`; when no round diverges it *is* this run's
-    /// schedule (shared, not copied).
-    pub fn resume_in(&self, new_cap: f64, ws: &mut KernelWorkspace) -> Result<Self, ModelError> {
-        if !at_least(new_cap, self.cap) {
-            return Self::cold_in(
-                self.inst,
-                Arc::clone(&self.csr),
-                Arc::clone(&self.rank),
-                new_cap,
-                ws,
-            );
-        }
-        if !diverges(self.reject_floor, new_cap) {
-            return Ok(CheckpointedRun {
-                inst: self.inst,
-                csr: Arc::clone(&self.csr),
-                rank: Arc::clone(&self.rank),
-                cap: new_cap,
-                reject_min: Arc::clone(&self.reject_min),
-                reject_floor: self.reject_floor,
-                checkpoints: Arc::clone(&self.checkpoints),
-                outcome: Arc::clone(&self.outcome),
-                replayed: 0,
-            });
-        }
-        // Every round before the first diverging one replays verbatim.
-        let divergence = first_divergence(&self.reject_min, new_cap)
-            .expect("the diverging floor is one of the thresholds");
-        let ci = self
-            .checkpoints
-            .iter()
-            .rposition(|c| c.round <= divergence)
-            .expect("the stride of a diverging round keeps its boundary snapshot");
-        let ck = &self.checkpoints[ci];
-        // Restore into the workspace's buffers (clone_from reuses their
-        // allocations) instead of cloning a fresh state.
-        ws.state.clone_from(&ck.state);
-        let admission = RecordingCapAdmission::new(ck.memsize.clone(), new_cap);
-        // The replay re-stages the snapshot at the restored round, so
-        // keep only the strictly earlier ones (still valid: the prefix of
-        // the new run is identical).
-        let reject_min = self.reject_min[..ck.round].to_vec();
-        let checkpoints = self.checkpoints[..ci].to_vec();
-        Self::drive(
-            self.inst,
-            Arc::clone(&self.csr),
-            Arc::clone(&self.rank),
-            new_cap,
-            admission,
-            reject_min,
-            checkpoints,
-            ws,
-        )
-    }
-
-    /// The shared CSR mirror of the bound instance.
-    #[inline]
-    pub fn csr(&self) -> &Arc<CsrDag> {
-        &self.csr
-    }
-
-    /// The memory cap this run enforced.
-    #[inline]
-    pub fn cap(&self) -> f64 {
-        self.cap
-    }
-
-    /// The produced schedule and Lemma-4 bookkeeping.
-    #[inline]
-    pub fn outcome(&self) -> &KernelOutcome {
-        &self.outcome
-    }
-
-    /// Rounds actually executed to produce this run: `n` for a cold run,
-    /// `0` when a resume found no diverging round, and the length of the
-    /// replayed suffix otherwise. Exposed for tests and sweep telemetry.
-    #[inline]
-    pub fn replayed_rounds(&self) -> usize {
-        self.replayed
-    }
-}
-
-/// Admission policy of a replanning session, fixed when the session
-/// opens: `None` caps nothing (Graham list scheduling), `Some(cap)`
-/// enforces the paper's memory cap through the recording wrapper so the
-/// per-round rejection thresholds keep feeding the first-affected-round
-/// analysis. A concrete enum (not a generic) so [`ReplanRun`] is a
-/// nameable type the engine layer can store.
-#[derive(Debug)]
-enum ReplanAdmission {
-    Open(Unrestricted),
-    Capped(RecordingCapAdmission),
-}
-
-impl ReplanAdmission {
-    /// Fresh admission state for a session with the given fixed cap.
-    fn fresh(cap: Option<f64>, m: usize) -> Self {
-        match cap {
-            None => ReplanAdmission::Open(Unrestricted),
-            Some(c) => ReplanAdmission::Capped(RecordingCapAdmission::new(vec![0.0; m], c)),
-        }
-    }
-
-    /// Admission state restored from a checkpoint's committed-memory
-    /// snapshot (empty for open sessions).
-    fn restored(cap: Option<f64>, memsize: Vec<f64>) -> Self {
-        match cap {
-            None => ReplanAdmission::Open(Unrestricted),
-            Some(c) => ReplanAdmission::Capped(RecordingCapAdmission::new(memsize, c)),
-        }
-    }
-
-    /// See [`RecordingCapAdmission::take_round_min`]; open sessions
-    /// reject nothing, so every round records ∞.
-    fn take_round_min(&self) -> f64 {
-        match self {
-            ReplanAdmission::Open(_) => f64::INFINITY,
-            ReplanAdmission::Capped(a) => a.take_round_min(),
-        }
-    }
-
-    /// The committed-memory vector to store in a checkpoint (empty for
-    /// open sessions, which have no admission state to restore).
-    fn memsize_snapshot(&self) -> Vec<f64> {
-        match self {
-            ReplanAdmission::Open(_) => Vec::new(),
-            ReplanAdmission::Capped(a) => a.inner.memsize.clone(),
-        }
-    }
-}
-
-impl Admission for ReplanAdmission {
-    #[inline]
-    fn admits(&self, q: usize, s: f64) -> bool {
-        match self {
-            ReplanAdmission::Open(a) => a.admits(q, s),
-            ReplanAdmission::Capped(a) => a.admits(q, s),
-        }
-    }
-
-    #[inline]
-    fn commit(&mut self, q: usize, s: f64) {
-        match self {
-            ReplanAdmission::Open(a) => a.commit(q, s),
-            ReplanAdmission::Capped(a) => a.commit(q, s),
-        }
-    }
-
-    fn rejection_error(&self, s: f64) -> ModelError {
-        match self {
-            ReplanAdmission::Open(a) => a.rejection_error(s),
-            ReplanAdmission::Capped(a) => a.rejection_error(s),
-        }
-    }
-}
-
 /// Direction of a re-estimated storage requirement relative to the
 /// value the previous run was computed under. The kernel only sees the
 /// *mutated* CSR, so the engine layer (which reads the old value before
@@ -1895,13 +1579,16 @@ pub enum CostShift {
     Raised,
 }
 
-/// A kernel-level description of one already-applied instance mutation,
-/// built by the engine layer from a [`CsrDelta`](sws_dag::CsrDelta)
-/// while applying it. Completions are absent by design: they mutate
-/// neither the instance nor the schedule, so the engine answers them
-/// from the cached run without entering the kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One change to the inputs of a [`CheckpointedRun`], replayed by
+/// [`CheckpointedRun::replan`]. Instance deltas describe a mutation the
+/// caller has already applied through [`CheckpointedRun::csr_mut`].
+/// Completions are absent by design: they mutate neither the instance
+/// nor the schedule, so the engine layer answers them from the cached
+/// run without entering the kernel.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplanDelta {
+    /// The memory cap becomes this value.
+    Cap(f64),
     /// Task `n - 1` of the (mutated) instance is a new arrival.
     Arrival,
     /// An existing task's costs were re-estimated.
@@ -1915,241 +1602,336 @@ pub enum ReplanDelta {
     },
 }
 
-/// A completed kernel run that can be **warm-resumed across instance
-/// deltas** — the generalization of [`CheckpointedRun`] from "same
-/// instance, new cap" to arrivals and cost re-estimates against a
-/// mutated [`CsrDag`].
+/// Which stride boundaries a [`CheckpointedRun`] keeps. The entry point
+/// that starts a chain fixes it, and every later run of the chain
+/// inherits it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SnapshotPolicy {
+    /// ∆-sweep chains: keep a boundary only when its stride rejects.
+    RejectingStrides,
+    /// Replan sessions: keep every boundary.
+    EveryStride,
+}
+
+/// A completed kernel run that can be **warm-started across a change of
+/// its inputs**: a larger memory cap (the ∆-sweeps of
+/// `sws_core::pareto_sweep`), or a task arrival or cost re-estimate
+/// applied in place to its instance (the replan sessions of
+/// `sws_core::replan`). Either way the produced schedule is
+/// **bit-identical** to a cold run on the changed inputs, which
+/// `tests/differential_sweep.rs` and `tests/differential_replan.rs`
+/// enforce. An open (uncapped) session is the cap `+∞` case:
+/// `TaskSet::new` and `CsrDelta::validate` keep every cost finite and
+/// non-negative, so `memsize[q] + s ≤ +∞` always holds, and that cap
+/// admits exactly what [`Unrestricted`] admits and rejects nothing.
 ///
-/// Beyond the cap-resume machinery (periodic [`EngineState`] snapshots,
-/// per-round rejection thresholds), a replan run records the per-round
-/// **placement frontier**: which task each round placed, at what start
-/// key, and what the minimum processor load was when the round began.
-/// From those records the first round a delta can affect is computable
-/// without re-running anything:
+/// # Records and first affected rounds
 ///
-/// * A task's costs are invisible to the kernel before its *ready
-///   round* `r₀` (the round after its last predecessor placed): a task
-///   outside the ready structures is never probed and never a
-///   candidate, so every earlier round replays verbatim.
-/// * Its processing time is read exactly once, at its placement round:
-///   a pure `p` re-estimate replays from there.
-/// * In an **open** (uncapped) session an arrival `j` can change a
-///   round `t ≥ r₀` only by *winning* it, and — holding the worst
-///   possible tie-break rank, `n - 1` — only by a strictly earlier
-///   start: its key is at least `max(ρ, min_load[t])` (`ρ` = its
-///   ready time), so the first affected round is the first `t` with
-///   `strictly_lt(max(ρ, min_load[t]), winner_key[t])`. Losing
-///   candidates leave no trace (marking is winner-only), which is what
-///   makes the test exact rather than heuristic.
-/// * In a **capped** session a changed storage requirement can flip
-///   admission verdicts in any round that probed the task, which the
-///   records cannot rule out past `r₀` — except for a *lowered*
-///   requirement, where verdicts only flip rejected→admitted, so
-///   rounds whose recorded rejection threshold is ∞ (nothing rejected)
-///   are untouched and the replay starts at the first finite one.
+/// Every round `r` records the task it placed, that task's start key
+/// (`winner_key[r]`), the minimum processor load when the round began
+/// (`min_load[r]`), and the smallest inadmissible `memsize[q] + s` it
+/// probed (`reject_min[r]`, ∞ when it rejected nothing). The run also
+/// caches the smallest finite threshold (`reject_floor`). From these the
+/// first round a delta can affect follows without re-running anything;
+/// `r₀` is the affected task's *ready round* (the round after its last
+/// predecessor placed — before it, the task is never probed) and `pᵢ`
+/// its placement round:
 ///
-/// Degeneration is graceful by construction: when the first affected
-/// round is early (a source arrival, a recost of a root task), the
-/// restore lands on the round-0 snapshot and the "replay" is a full
-/// re-run — never worse than from-scratch by more than the snapshot
-/// overhead.
+/// | Delta | First affected round |
+/// |---|---|
+/// | cap `c' ≥ c` | first `r` whose finite `reject_min[r]` is admitted under `c'` |
+/// | arrival, cap `+∞` | first `t ≥ r₀` with `max(ρ, min_load[t])` strictly below `winner_key[t]` (`ρ` = its ready time) |
+/// | arrival, finite cap | `r₀` |
+/// | re-estimate, `p` changed | `pᵢ` |
+/// | re-estimate, `s` raised, finite cap | `r₀` |
+/// | re-estimate, `s` lowered, finite cap | first finite `reject_min` in `r₀..pᵢ`, else `pᵢ` |
 ///
-/// The run is bound to the priority rank it was recorded under; a
-/// replan whose rank disagrees (or re-ranks the arrival anywhere but
-/// last) falls back to a cold run against the mutated instance. Either
-/// way the produced schedule is **bit-identical** to a from-scratch
-/// solve of the mutated instance, which the differential suite
-/// enforces.
+/// A cap delta diverges only where a rejection flips, because
+/// [`sws_model::numeric::approx_le`] is monotone in both arguments over
+/// non-negative operands: accepted probes stay accepted, rejected ones
+/// flip only where the round's smallest rejected value does, and whether
+/// any round flips is one comparison against `reject_floor`. An arrival
+/// ranked last changes an uncapped round only by *winning* it with a
+/// strictly earlier start (losers leave no trace: marking is
+/// winner-only); under a finite cap its probe can reject in any round
+/// that scans it. A storage change is invisible under cap `+∞`. The
+/// re-estimate rounds never pass `pᵢ`, so no restored snapshot carries
+/// the task's old costs (under cap `+∞` a kept snapshot's committed
+/// memory may predate a storage re-estimate, which no verdict reads).
+/// A delta that affects no round — a cap the floor does not reach, an
+/// uncapped storage re-estimate, an unchanged cost — shares this run's
+/// outcome, records and snapshots: `O(1)`, nothing copied.
+///
+/// # Snapshots
+///
+/// Each stride boundary (every `checkpoint_stride(n)` rounds) is staged
+/// in one reused workspace buffer, and the entry point fixes which
+/// boundaries are kept. [`CheckpointedRun::cold`] (∆-sweep chains)
+/// keeps a boundary only when its stride records a rejection, since a
+/// cap delta can only diverge in such a stride; a chain whose cap never
+/// binds keeps none. [`CheckpointedRun::session`] keeps every boundary,
+/// since instance deltas can first affect any round. Restore-point
+/// invariant: a cap delta diverging in round `d` restores the boundary
+/// `⌊d/stride⌋·stride` (kept under both policies, since round `d`
+/// rejected) and replays `n − ⌊d/stride⌋·stride` rounds. A replay
+/// restores the latest kept boundary at or before the first affected
+/// round, splices in every task the snapshot predates, and re-records
+/// from there.
+///
+/// # Fallback
+///
+/// A replan runs cold, under the run's own snapshot policy, in exactly
+/// one case: the records cannot serve it. That is a rank other than the
+/// recorded one (an arrival may only extend it, ranking itself last),
+/// a cap that shrank or is NaN (the monotonicity above needs `c' ≥ c`),
+/// or no kept boundary at or before the first affected round (an
+/// arrival on a sweep chain whose early strides never rejected). The
+/// cold run is the same bit-identical answer at full price.
+///
+/// The records, the snapshots, the outcome, the priority rank and the
+/// CSR instance are `Arc`-shared between the runs of a chain, so an
+/// instance is flattened once per chain and a session mutates it in
+/// place.
 #[derive(Debug, Clone)]
-pub struct ReplanRun {
+pub struct CheckpointedRun {
+    csr: Arc<CsrDag>,
     m: usize,
-    /// Fixed session cap: `None` = unrestricted (Graham), `Some` = the
-    /// paper's memory cap. Sessions never change it — machines don't
-    /// grow RAM mid-run; cap *sweeps* are [`CheckpointedRun`]'s job.
-    cap: Option<f64>,
     rank: Arc<PriorityRank>,
-    /// `placed[r]`: the task round `r` placed.
-    placed: Vec<u32>,
-    /// `place_round[i]`: the round that placed task `i` (inverse of
-    /// `placed`).
-    place_round: Vec<u32>,
-    /// `winner_key[r]`: start key of round `r`'s winner.
-    winner_key: Vec<f64>,
-    /// `min_load[r]`: minimum processor load when round `r` began.
-    min_load: Vec<f64>,
-    /// `reject_min[r]`: smallest inadmissible `memsize[q] + s` probed in
-    /// round `r` (∞ when nothing was rejected; always ∞ when open).
-    reject_min: Vec<f64>,
-    /// Snapshots at stride boundaries (ascending rounds).
-    checkpoints: Vec<Arc<Checkpoint>>,
-    outcome: KernelOutcome,
-    /// Rounds actually executed to produce this run.
+    /// The enforced memory cap (`+∞` for an open session).
+    cap: f64,
+    policy: SnapshotPolicy,
+    records: Arc<Records>,
+    /// [`reject_floor`] of `records.reject_min`.
+    reject_floor: f64,
+    /// The kept stride-boundary snapshots (ascending rounds).
+    checkpoints: Arc<Vec<Arc<Checkpoint>>>,
+    outcome: Arc<KernelOutcome>,
+    /// Rounds actually executed to produce this run (`n` for a cold run,
+    /// `0` when a delta affected no round).
     replayed: usize,
 }
 
-impl ReplanRun {
-    /// A from-scratch run over `csr` on `m` processors under the
-    /// session's fixed `cap`, recording the replay bookkeeping.
-    pub fn cold(
-        csr: &CsrDag,
-        m: usize,
-        rank: Arc<PriorityRank>,
-        cap: Option<f64>,
-        ws: &mut KernelWorkspace,
-    ) -> Result<Self, ModelError> {
-        ws.state.init(csr, m, &rank);
-        let admission = ReplanAdmission::fresh(cap, m);
-        Self::drive(csr, m, rank, cap, admission, Records::default(), ws)
+impl CheckpointedRun {
+    /// A from-scratch ∆-sweep run with memory cap `cap`, recording what
+    /// a later warm resume needs. One-shot wrapper over
+    /// [`CheckpointedRun::cold_in`] (fresh CSR mirror and workspace).
+    pub fn cold(inst: &DagInstance, rank: Arc<PriorityRank>, cap: f64) -> Result<Self, ModelError> {
+        let mut ws = KernelWorkspace::with_capacity(inst.n(), inst.m());
+        Self::cold_in(inst, Arc::new(inst.csr()), rank, cap, &mut ws)
     }
 
-    /// Warm-starts against the **already mutated** `csr`, replaying
-    /// only from the first round `delta` can affect (see the type
-    /// docs). `rank` is the priority rank of the mutated instance; when
-    /// it disagrees with the recorded rank the run falls back to
-    /// [`ReplanRun::cold`]. Bit-identical to a cold run either way.
+    /// [`CheckpointedRun::cold`] with an explicit shared CSR mirror and
+    /// reusable workspace — the sweep-engine path, where one chain runs
+    /// many caps over one instance.
+    pub fn cold_in(
+        inst: &DagInstance,
+        csr: Arc<CsrDag>,
+        rank: Arc<PriorityRank>,
+        cap: f64,
+        ws: &mut KernelWorkspace,
+    ) -> Result<Self, ModelError> {
+        assert_eq!(csr.n(), inst.n(), "CSR mirror must match the instance");
+        Self::start(
+            csr,
+            inst.m(),
+            rank,
+            cap,
+            SnapshotPolicy::RejectingStrides,
+            ws,
+        )
+    }
+
+    /// A from-scratch replan-session run over `csr` on `m` processors
+    /// under the session's `cap` (`+∞` for an open session), keeping
+    /// every stride boundary for the instance deltas that follow.
+    pub fn session(
+        csr: Arc<CsrDag>,
+        m: usize,
+        rank: Arc<PriorityRank>,
+        cap: f64,
+        ws: &mut KernelWorkspace,
+    ) -> Result<Self, ModelError> {
+        Self::start(csr, m, rank, cap, SnapshotPolicy::EveryStride, ws)
+    }
+
+    fn start(
+        csr: Arc<CsrDag>,
+        m: usize,
+        rank: Arc<PriorityRank>,
+        cap: f64,
+        policy: SnapshotPolicy,
+        ws: &mut KernelWorkspace,
+    ) -> Result<Self, ModelError> {
+        ws.state.init(&csr, m, &rank);
+        let admission = RecordingCapAdmission::new(vec![0.0; m], cap);
+        let records = Records::default().prefix(0, csr.n());
+        Self::drive(csr, rank, policy, admission, records, Vec::new(), ws)
+    }
+
+    /// Warm-starts a run at `new_cap`, reusing the longest prefix whose
+    /// admissibility verdicts are unchanged. One-shot wrapper over
+    /// [`CheckpointedRun::resume_in`] (fresh workspace).
+    pub fn resume(&self, new_cap: f64) -> Result<Self, ModelError> {
+        self.resume_in(new_cap, &mut KernelWorkspace::new())
+    }
+
+    /// [`CheckpointedRun::resume`] with an explicit reusable workspace:
+    /// the [`ReplanDelta::Cap`] replan. When no round diverges the result
+    /// *is* this run's schedule (shared, not copied).
+    pub fn resume_in(&self, new_cap: f64, ws: &mut KernelWorkspace) -> Result<Self, ModelError> {
+        self.replan(&self.rank, ReplanDelta::Cap(new_cap), ws)
+    }
+
+    /// Warm-starts against the changed inputs, replaying only from the
+    /// first round `delta` can affect (see the type docs). An instance
+    /// delta must already be applied through
+    /// [`CheckpointedRun::csr_mut`], and `rank` is the priority rank of
+    /// the changed instance. Bit-identical to a cold run of the changed
+    /// inputs.
     pub fn replan(
         &self,
-        csr: &CsrDag,
-        rank: Arc<PriorityRank>,
+        rank: &Arc<PriorityRank>,
         delta: ReplanDelta,
         ws: &mut KernelWorkspace,
     ) -> Result<Self, ModelError> {
-        let n = csr.n();
-        let n_old = self.placed.len();
-        match delta {
-            ReplanDelta::Arrival => {
-                assert_eq!(n, n_old + 1, "arrival replan against an un-mutated CSR");
-                let j = n - 1;
-                if !self.rank_extends(&rank, n) || self.checkpoints.is_empty() {
-                    return Self::cold(csr, self.m, rank, self.cap, ws);
+        let (n, n_old) = (self.csr.n(), self.records.placed.len());
+        let cap = match delta {
+            ReplanDelta::Cap(cap) => cap,
+            _ => self.cap,
+        };
+        // Rank guard: the records only describe runs under the recorded
+        // rank, extended for an arrival by ranking it last — the one
+        // extension under which every recorded slot keeps its meaning.
+        let same_rank = match delta {
+            ReplanDelta::Arrival => self.rank_extends(rank, n),
+            _ => self.rank_matches(rank),
+        };
+        let restore = if same_rank && at_least(cap, self.cap) {
+            let first = match delta {
+                ReplanDelta::Cap(_) if !diverges(self.reject_floor, cap) => None,
+                ReplanDelta::Cap(_) => first_divergence(&self.records.reject_min, cap),
+                ReplanDelta::Arrival => {
+                    assert_eq!(n, n_old + 1, "arrival replan against an un-mutated CSR");
+                    Some(self.arrival_round())
                 }
-                let (rho, r0) = self.ready_info(csr, j);
-                let first = if self.cap.is_some() {
-                    // A capped probe of `j` can reject (even terminally)
-                    // in any round that scans it; the records cannot
-                    // rule that out, so replay its whole ready span.
-                    r0
-                } else {
-                    self.first_beaten_round(r0, n_old, rho).unwrap_or(n_old)
-                };
-                self.resume_from(csr, rank, first, ws)
-            }
-            ReplanDelta::Recost {
-                task,
-                p_changed,
-                s_shift,
-            } => {
-                assert_eq!(n, n_old, "recost replan changed the task count");
-                if !self.rank_matches(&rank) || self.checkpoints.is_empty() {
-                    return Self::cold(csr, self.m, rank, self.cap, ws);
+                ReplanDelta::Recost {
+                    task,
+                    p_changed,
+                    s_shift,
+                } => {
+                    assert_eq!(n, n_old, "recost replan changed the task count");
+                    self.recost_round(task as usize, p_changed, s_shift)
                 }
-                let i = task as usize;
-                let pr = self.place_round[i] as usize;
-                let mut first = if p_changed { pr } else { usize::MAX };
-                if self.cap.is_some() {
-                    match s_shift {
-                        CostShift::Unchanged => {}
-                        // Rejected→admitted flips need a rejection to
-                        // flip: rounds with an ∞ threshold replay
-                        // verbatim.
-                        CostShift::Lowered => {
-                            let (_, r0) = self.ready_info(csr, i);
-                            let t = (r0..pr)
-                                .find(|&t| self.reject_min[t].is_finite())
-                                .unwrap_or(pr);
-                            first = first.min(t);
-                        }
-                        CostShift::Raised => {
-                            let (_, r0) = self.ready_info(csr, i);
-                            first = first.min(r0);
-                        }
-                    }
-                }
-                if first >= n {
-                    // The schedule cannot change (an uncapped storage
-                    // re-estimate, or no change at all): reuse it.
-                    return Ok(self.reuse());
-                }
-                self.resume_from(csr, rank, first, ws)
+            };
+            let Some(first) = first else {
+                return Ok(CheckpointedRun {
+                    cap,
+                    replayed: 0,
+                    ..self.clone()
+                });
+            };
+            self.checkpoints.iter().rposition(|c| c.round <= first)
+        } else {
+            None
+        };
+        match restore {
+            Some(ci) => self.resume_from(ci, rank, cap, ws),
+            // The fallback (see the type docs).
+            None => {
+                let (csr, rank) = (Arc::clone(&self.csr), Arc::clone(rank));
+                Self::start(csr, self.m, rank, cap, self.policy, ws)
             }
         }
     }
 
-    /// This run with zero replayed rounds — the answer when a delta
-    /// provably cannot change the schedule. (The replan engine in
-    /// `sws-core` answers completions from its cached run without
-    /// cloning it.)
-    fn reuse(&self) -> Self {
-        let mut run = self.clone();
-        run.replayed = 0;
-        run
+    /// First round an arrival (task `n − 1`) can affect.
+    fn arrival_round(&self) -> usize {
+        let n_old = self.records.placed.len();
+        let (rho, r0) = self.ready_info(n_old);
+        if self.cap.is_finite() {
+            return r0;
+        }
+        let (min_load, winner_key) = (&self.records.min_load, &self.records.winner_key);
+        let beaten = min_load[r0..]
+            .iter()
+            .zip(&winner_key[r0..])
+            .position(|(&load, &key)| strictly_lt(rho.max(load), key));
+        beaten.map_or(n_old, |k| r0 + k)
+    }
+
+    /// First round a re-estimate of task `i` can affect (`None` when it
+    /// cannot change the schedule).
+    fn recost_round(&self, i: usize, p_changed: bool, s_shift: CostShift) -> Option<usize> {
+        let placed_at = self.records.place_round[i] as usize;
+        let s_first = match s_shift {
+            _ if !self.cap.is_finite() => None,
+            CostShift::Unchanged => None,
+            // Rejected→admitted flips need a rejection to flip.
+            CostShift::Lowered => {
+                let r0 = self.ready_info(i).1;
+                let thresholds = &self.records.reject_min[r0..placed_at];
+                let rejecting = thresholds.iter().position(|v| v.is_finite());
+                Some(rejecting.map_or(placed_at, |k| r0 + k))
+            }
+            CostShift::Raised => Some(self.ready_info(i).1),
+        };
+        p_changed
+            .then_some(placed_at)
+            .into_iter()
+            .chain(s_first)
+            .min()
     }
 
     /// Ready time `ρ` (max predecessor completion) and ready round `r₀`
     /// (first round the task is visible to scans) of `task` under this
     /// run's schedule.
-    fn ready_info(&self, csr: &CsrDag, task: usize) -> (f64, usize) {
+    fn ready_info(&self, task: usize) -> (f64, usize) {
         let mut rho = 0.0f64;
         let mut r0 = 0usize;
-        for &u in csr.preds(task) {
+        for &u in self.csr.preds(task) {
             let u = u as usize;
-            rho = rho.max(self.outcome.schedule.start(u) + csr.p(u));
-            r0 = r0.max(self.place_round[u] as usize + 1);
+            rho = rho.max(self.outcome.schedule.start(u) + self.csr.p(u));
+            r0 = r0.max(self.records.place_round[u] as usize + 1);
         }
         (rho, r0)
     }
 
-    /// First round in `from..until` an open-session candidate with
-    /// ready time `rho` (and a worse tie-break rank than every recorded
-    /// task) would have *won*: its start key is at least
-    /// `max(rho, min_load[t])`, and with the worst rank only a strictly
-    /// earlier start beats the recorded winner.
-    fn first_beaten_round(&self, from: usize, until: usize, rho: f64) -> Option<usize> {
-        (from..until).find(|&t| strictly_lt(rho.max(self.min_load[t]), self.winner_key[t]))
-    }
-
-    /// Whether `rank` is exactly the recorded rank (recost replans keep
-    /// the task set, so the whole rank must agree).
+    /// Whether `rank` is exactly the recorded rank.
     fn rank_matches(&self, rank: &Arc<PriorityRank>) -> bool {
         Arc::ptr_eq(rank, &self.rank) || rank[..] == self.rank[..]
     }
 
     /// Whether `rank` extends the recorded rank by ranking the arrival
-    /// last — the one extension under which every recorded slot (and
-    /// thus every record) keeps its meaning.
+    /// last: no recorded rank exceeds the arrival's, so its
+    /// `(rank, task)` pack sorts after every recorded one.
     fn rank_extends(&self, rank: &PriorityRank, n: usize) -> bool {
-        rank.len() == n && rank[n - 1] as usize == n - 1 && rank[..n - 1] == self.rank[..]
+        rank.len() == n
+            && rank[..n - 1] == self.rank[..]
+            && self.rank.iter().max().is_none_or(|&top| top <= rank[n - 1])
     }
 
-    /// Restores the latest snapshot at or before `first` and replays to
-    /// completion against the mutated `csr`, splicing in every task the
-    /// snapshot predates.
+    /// Restores kept snapshot `ci` and replays to completion against the
+    /// (possibly mutated) instance.
     fn resume_from(
         &self,
-        csr: &CsrDag,
-        rank: Arc<PriorityRank>,
-        first: usize,
+        ci: usize,
+        rank: &Arc<PriorityRank>,
+        cap: f64,
         ws: &mut KernelWorkspace,
     ) -> Result<Self, ModelError> {
-        let ci = self
-            .checkpoints
-            .iter()
-            .rposition(|c| c.round <= first)
-            .expect("a non-empty run always snapshots round 0");
         let ck = &self.checkpoints[ci];
+        // Restore into the workspace's buffers (clone_from reuses their
+        // allocations) instead of cloning a fresh state.
         ws.state.clone_from(&ck.state);
-        let admission = ReplanAdmission::restored(self.cap, ck.memsize.clone());
-        self.adapt_new_tasks(csr, &rank, ck.round, ws);
-        // The replay re-records from the restored round; keep only the
-        // records strictly before it (identical by construction).
-        let records = Records {
-            placed: self.placed[..ck.round].to_vec(),
-            winner_key: self.winner_key[..ck.round].to_vec(),
-            min_load: self.min_load[..ck.round].to_vec(),
-            reject_min: self.reject_min[..ck.round].to_vec(),
-            checkpoints: self.checkpoints[..ci].to_vec(),
-        };
-        Self::drive(csr, self.m, rank, self.cap, admission, records, ws)
+        self.adapt_new_tasks(rank, ck.round, ws);
+        let admission = RecordingCapAdmission::new(ck.memsize.clone(), cap);
+        // The replay re-records from the restored round (re-staging its
+        // boundary), so keep only what precedes it: identical by
+        // construction.
+        let records = self.records.prefix(ck.round, self.csr.n());
+        let checkpoints = self.checkpoints[..ci].to_vec();
+        let (csr, rank) = (Arc::clone(&self.csr), Arc::clone(rank));
+        Self::drive(csr, rank, self.policy, admission, records, checkpoints, ws)
     }
 
     /// Splices every task the restored snapshot predates into the
@@ -2172,17 +1954,12 @@ impl ReplanRun {
     /// migration would put it: runnable iff its ready time is
     /// (approximately) at or below the minimum load, pending otherwise.
     ///
-    /// Every spliced task owns its own slot (`rank[t] == t`, pinned by
-    /// the rank guards of the arrival replans), so the snapshot's slot
-    /// tables extend without renumbering.
-    fn adapt_new_tasks(
-        &self,
-        csr: &CsrDag,
-        rank: &PriorityRank,
-        at: usize,
-        ws: &mut KernelWorkspace,
-    ) {
-        let n = csr.n();
+    /// Every spliced task takes the next slot (`t`): the rank guard of
+    /// arrival replans sorts each arrival's pack after all earlier ones,
+    /// so the snapshot's slot tables extend without renumbering.
+    fn adapt_new_tasks(&self, rank: &PriorityRank, at: usize, ws: &mut KernelWorkspace) {
+        let n = self.csr.n();
+        let place_round = &self.records.place_round;
         let state = &mut ws.state;
         if state.preds.len() >= n {
             return;
@@ -2194,10 +1971,10 @@ impl ReplanRun {
         for t in state.preds.len()..n {
             let mut ready = 0.0f64;
             let mut remaining = 0u32;
-            for &u in csr.preds(t) {
+            for &u in self.csr.preds(t) {
                 let u = u as usize;
-                if u < self.place_round.len() && (self.place_round[u] as usize) < at {
-                    ready = ready.max(state.start[u] + csr.p(u));
+                if u < place_round.len() && (place_round[u] as usize) < at {
+                    ready = ready.max(state.start[u] + self.csr.p(u));
                 } else {
                     remaining += 1;
                 }
@@ -2219,83 +1996,94 @@ impl ReplanRun {
         }
     }
 
-    /// Runs the workspace's state to completion, snapshotting every
-    /// [`checkpoint_stride`] rounds and extending the per-round records
-    /// (which must already cover the rounds before `state.round`).
+    /// The one drive loop: runs the workspace's state to completion,
+    /// staging every [`checkpoint_stride`] boundary and keeping it as
+    /// `policy` says, and extending the records (which must already
+    /// cover the rounds before `state.round`).
     fn drive(
-        csr: &CsrDag,
-        m: usize,
+        csr: Arc<CsrDag>,
         rank: Arc<PriorityRank>,
-        cap: Option<f64>,
-        mut admission: ReplanAdmission,
-        records: Records,
+        policy: SnapshotPolicy,
+        mut admission: RecordingCapAdmission,
+        mut records: Records,
+        mut checkpoints: Vec<Arc<Checkpoint>>,
         ws: &mut KernelWorkspace,
     ) -> Result<Self, ModelError> {
-        let Records {
-            mut placed,
-            mut winner_key,
-            mut min_load,
-            mut reject_min,
-            mut checkpoints,
-        } = records;
         let n = csr.n();
         let stride = checkpoint_stride(n);
         let first = ws.state.round;
-        debug_assert_eq!(placed.len(), first);
+        debug_assert_eq!(records.placed.len(), first);
         ws.scratch.clear();
+        // `ws.staged` holds the current stride's boundary, not yet kept.
+        let mut staged = false;
         while ws.state.round < n {
             if ws.state.round.is_multiple_of(PROBE_STRIDE) {
                 ws.probe.poll()?;
             }
             if ws.state.round.is_multiple_of(stride) {
-                checkpoints.push(Arc::new(Checkpoint {
-                    round: ws.state.round,
-                    state: ws.state.clone(),
-                    memsize: admission.memsize_snapshot(),
-                }));
+                ws.staged.round = ws.state.round;
+                ws.staged.state.clone_from(&ws.state);
+                ws.staged.memsize.clone_from(&admission.inner.memsize);
+                staged = true;
             }
-            min_load.push(ws.state.procs.min_load());
-            let (task, key) = ws.state.step(csr, &rank, &mut admission, &mut ws.scratch)?;
-            placed.push(task);
-            winner_key.push(key);
-            reject_min.push(admission.take_round_min());
+            records.min_load.push(ws.state.procs.min_load());
+            let (task, key) = ws
+                .state
+                .step(&csr, &rank, &mut admission, &mut ws.scratch)?;
+            let threshold = admission.take_round_min();
+            records.placed.push(task);
+            records.winner_key.push(key);
+            records.reject_min.push(threshold);
+            if staged && (policy == SnapshotPolicy::EveryStride || threshold.is_finite()) {
+                let boundary = std::mem::replace(&mut ws.staged, Checkpoint::empty());
+                checkpoints.push(Arc::new(boundary));
+                staged = false;
+            }
         }
+        let (m, cap) = (ws.state.procs.m(), admission.inner.cap);
         let outcome = ws.state.finish(m)?;
-        let mut place_round = vec![0u32; n];
-        for (r, &t) in placed.iter().enumerate() {
-            place_round[t as usize] = r as u32;
+        records.place_round = vec![0; n];
+        for (r, &t) in records.placed.iter().enumerate() {
+            records.place_round[t as usize] = r as u32;
         }
-        Ok(ReplanRun {
+        Ok(CheckpointedRun {
+            csr,
             m,
-            cap,
             rank,
-            placed,
-            place_round,
-            winner_key,
-            min_load,
-            reject_min,
-            checkpoints,
-            outcome,
+            cap,
+            policy,
+            // Cap `+∞` rejects nothing: skip the scan.
+            reject_floor: if cap.is_finite() {
+                reject_floor(&records.reject_min)
+            } else {
+                f64::INFINITY
+            },
+            records: Arc::new(records),
+            checkpoints: Arc::new(checkpoints),
+            outcome: Arc::new(outcome),
             replayed: n - first,
         })
     }
 
-    /// The session's fixed memory cap (`None` = unrestricted).
+    /// The shared CSR instance.
     #[inline]
-    pub fn cap(&self) -> Option<f64> {
+    pub fn csr(&self) -> &Arc<CsrDag> {
+        &self.csr
+    }
+
+    /// The instance, for applying a delta in place before the
+    /// [`CheckpointedRun::replan`] that names it; until then the records
+    /// describe the previous instance. Copies the instance only when
+    /// another run still shares it (a session keeps one run, so it never
+    /// does).
+    pub fn csr_mut(&mut self) -> &mut CsrDag {
+        Arc::make_mut(&mut self.csr)
+    }
+
+    /// The memory cap this run enforced (`+∞` for an open session).
+    #[inline]
+    pub fn cap(&self) -> f64 {
         self.cap
-    }
-
-    /// Number of tasks this run scheduled.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.placed.len()
-    }
-
-    /// The produced schedule and Lemma-4 bookkeeping.
-    #[inline]
-    pub fn outcome(&self) -> &KernelOutcome {
-        &self.outcome
     }
 
     /// The priority rank the run was recorded under.
@@ -2304,25 +2092,56 @@ impl ReplanRun {
         &self.rank
     }
 
-    /// Rounds actually executed to produce this run: `n` for a cold
-    /// run, `0` for a provable no-op, the replayed suffix length
-    /// otherwise. The engine layer's incremental-work costing reads
-    /// this.
+    /// The produced schedule and Lemma-4 bookkeeping.
+    #[inline]
+    pub fn outcome(&self) -> &KernelOutcome {
+        &self.outcome
+    }
+
+    /// Rounds actually executed to produce this run: `n` for a cold run,
+    /// `0` when a delta affected no round, and the length of the
+    /// replayed suffix otherwise. Sweep telemetry and the session
+    /// engine's incremental-work costing read this.
     #[inline]
     pub fn replayed_rounds(&self) -> usize {
         self.replayed
     }
 }
 
-/// The per-round record vectors of a [`ReplanRun`], bundled so the
-/// drive loop's signature stays readable.
+/// The per-round records of a [`CheckpointedRun`] (see its docs).
 #[derive(Debug, Default)]
 struct Records {
+    /// `placed[r]`: the task round `r` placed.
     placed: Vec<u32>,
+    /// `winner_key[r]`: start key of round `r`'s winner.
     winner_key: Vec<f64>,
+    /// `min_load[r]`: minimum processor load when round `r` began.
     min_load: Vec<f64>,
+    /// `reject_min[r]`: smallest inadmissible `memsize[q] + s` probed in
+    /// round `r` (∞ when it rejected nothing).
     reject_min: Vec<f64>,
-    checkpoints: Vec<Arc<Checkpoint>>,
+    /// `place_round[i]`: the round that placed task `i` (inverse of
+    /// `placed`, rebuilt at the end of every drive).
+    place_round: Vec<u32>,
+}
+
+impl Records {
+    /// The records of the rounds before `round`, with room for `n`
+    /// rounds so the drive loop never reallocates them.
+    fn prefix(&self, round: usize, n: usize) -> Records {
+        fn head<T: Copy>(v: &[T], round: usize, n: usize) -> Vec<T> {
+            let mut head = Vec::with_capacity(n);
+            head.extend_from_slice(&v[..round]);
+            head
+        }
+        Records {
+            placed: head(&self.placed, round, n),
+            winner_key: head(&self.winner_key, round, n),
+            min_load: head(&self.min_load, round, n),
+            reject_min: head(&self.reject_min, round, n),
+            place_round: Vec::new(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -2715,7 +2534,7 @@ mod tests {
         let mut boundaries = Vec::new();
         while run.reject_floor.is_finite() {
             let cap = run.reject_floor;
-            let d = first_divergence(&run.reject_min, cap).unwrap();
+            let d = first_divergence(&run.records.reject_min, cap).unwrap();
             let boundary = d / stride * stride;
             assert!(
                 run.checkpoints.iter().any(|c| c.round == boundary),
@@ -2794,7 +2613,7 @@ mod tests {
         }
     }
 
-    // --- ReplanRun: warm-starting across instance deltas -------------
+    // --- Instance deltas: arrivals and re-estimates -------------------
 
     /// Tiny deterministic generator for the replan streams (the heavier
     /// proptest differential suite lives in the workspace-level tests).
@@ -2819,7 +2638,7 @@ mod tests {
         }
     }
 
-    fn replan_base() -> sws_dag::CsrDag {
+    fn replan_base() -> CsrDag {
         use sws_workloads::{dagsets, TaskDistribution};
         let inst = dagsets::dag_workload(
             dagsets::DagFamily::LayeredRandom,
@@ -2831,18 +2650,42 @@ mod tests {
         inst.csr()
     }
 
-    /// Asserts a replan result is bit-identical to a cold run of the
-    /// mutated instance (start times compared by bit pattern).
-    fn assert_matches_cold(warm: &ReplanRun, csr: &CsrDag, m: usize, cap: Option<f64>, what: &str) {
-        let mut ws = KernelWorkspace::new();
+    /// A cold session-policy run over `csr` under `cap` (`None` = open,
+    /// the kernel's cap `+∞`), ranked by task index.
+    fn open_session(
+        csr: CsrDag,
+        m: usize,
+        cap: Option<f64>,
+        ws: &mut KernelWorkspace,
+    ) -> Result<CheckpointedRun, ModelError> {
         let rank = Arc::new(index_priority(csr.n()));
-        let cold = ReplanRun::cold(csr, m, rank, cap, &mut ws).unwrap();
-        assert_eq!(warm.outcome().schedule, cold.outcome().schedule, "{what}");
-        assert_eq!(warm.outcome().marked, cold.outcome().marked, "{what}");
+        let cap = cap.unwrap_or(f64::INFINITY);
+        CheckpointedRun::session(Arc::new(csr), m, rank, cap, ws)
+    }
+
+    /// A plain kernel run of `csr` under `cap` (`+∞` through
+    /// [`Unrestricted`]), ranked by task index.
+    fn plain_run(csr: &CsrDag, m: usize, cap: f64) -> Result<KernelOutcome, ModelError> {
+        let (mut ws, rank) = (KernelWorkspace::new(), index_priority(csr.n()));
+        if cap.is_finite() {
+            let mut admission = MemoryCapAdmission::new(m, cap);
+            event_driven_schedule_csr(csr, m, &rank, &mut admission, &mut ws)
+        } else {
+            event_driven_schedule_csr(csr, m, &rank, &mut Unrestricted, &mut ws)
+        }
+    }
+
+    /// Asserts a replanned run is bit-identical to a plain kernel run of
+    /// its (mutated) instance (start times compared by bit pattern).
+    fn assert_matches_cold(warm: &CheckpointedRun, what: &str) {
+        let csr = warm.csr();
+        let cold = plain_run(csr, warm.m, warm.cap()).unwrap();
+        assert_eq!(warm.outcome().schedule, cold.schedule, "{what}");
+        assert_eq!(warm.outcome().marked, cold.marked, "{what}");
         for i in 0..csr.n() {
             assert_eq!(
                 warm.outcome().schedule.start(i).to_bits(),
-                cold.outcome().schedule.start(i).to_bits(),
+                cold.schedule.start(i).to_bits(),
                 "{what}: start of task {i}"
             );
         }
@@ -2850,15 +2693,13 @@ mod tests {
 
     #[test]
     fn replan_arrival_stream_is_bit_identical_to_cold() {
-        let mut csr = replan_base();
         let m = 4;
         let mut ws = KernelWorkspace::new();
-        let mut run =
-            ReplanRun::cold(&csr, m, Arc::new(index_priority(csr.n())), None, &mut ws).unwrap();
+        let mut run = open_session(replan_base(), m, None, &mut ws).unwrap();
         let mut rng = XorShift(0x9E3779B97F4A7C15);
         let mut warm_hits = 0usize;
         for _ in 0..40 {
-            let n = csr.n();
+            let n = run.csr().n();
             let mut preds = Vec::new();
             for _ in 0..rng.below(4) {
                 let u = rng.below(n as u64) as u32;
@@ -2866,18 +2707,17 @@ mod tests {
                     preds.push(u);
                 }
             }
-            csr.apply_delta(&sws_dag::CsrDelta::AddTask {
-                preds,
-                p: rng.cost(),
-                s: rng.cost(),
-            })
-            .unwrap();
-            let rank = Arc::new(index_priority(csr.n()));
-            run = run
-                .replan(&csr, rank, ReplanDelta::Arrival, &mut ws)
+            run.csr_mut()
+                .apply_delta(&sws_dag::CsrDelta::AddTask {
+                    preds,
+                    p: rng.cost(),
+                    s: rng.cost(),
+                })
                 .unwrap();
-            assert_matches_cold(&run, &csr, m, None, "arrival");
-            if run.replayed_rounds() < csr.n() {
+            let rank = Arc::new(index_priority(n + 1));
+            run = run.replan(&rank, ReplanDelta::Arrival, &mut ws).unwrap();
+            assert_matches_cold(&run, "arrival");
+            if run.replayed_rounds() < n + 1 {
                 warm_hits += 1;
             }
         }
@@ -2889,24 +2729,23 @@ mod tests {
 
     #[test]
     fn replan_recost_p_replays_from_the_placement_round() {
-        let mut csr = replan_base();
         let m = 4;
         let mut ws = KernelWorkspace::new();
-        let rank = Arc::new(index_priority(csr.n()));
-        let mut run = ReplanRun::cold(&csr, m, Arc::clone(&rank), None, &mut ws).unwrap();
+        let mut run = open_session(replan_base(), m, None, &mut ws).unwrap();
+        let rank = Arc::clone(run.rank());
         let mut rng = XorShift(0xA5A5A5A5DEADBEEF);
         for _ in 0..25 {
-            let i = rng.below(csr.n() as u64) as u32;
-            csr.apply_delta(&sws_dag::CsrDelta::Recost {
-                task: i,
-                p: Some(rng.cost()),
-                s: None,
-            })
-            .unwrap();
+            let i = rng.below(run.csr().n() as u64) as u32;
+            run.csr_mut()
+                .apply_delta(&sws_dag::CsrDelta::Recost {
+                    task: i,
+                    p: Some(rng.cost()),
+                    s: None,
+                })
+                .unwrap();
             run = run
                 .replan(
-                    &csr,
-                    Arc::clone(&rank),
+                    &rank,
                     ReplanDelta::Recost {
                         task: i,
                         p_changed: true,
@@ -2915,9 +2754,9 @@ mod tests {
                     &mut ws,
                 )
                 .unwrap();
-            assert_matches_cold(&run, &csr, m, None, "recost-p");
+            assert_matches_cold(&run, "recost-p");
             assert!(
-                run.replayed_rounds() <= csr.n(),
+                run.replayed_rounds() <= run.csr().n(),
                 "replay longer than the instance"
             );
         }
@@ -2925,21 +2764,20 @@ mod tests {
 
     #[test]
     fn uncapped_storage_recost_replays_nothing() {
-        let mut csr = replan_base();
         let m = 4;
         let mut ws = KernelWorkspace::new();
-        let rank = Arc::new(index_priority(csr.n()));
-        let run = ReplanRun::cold(&csr, m, Arc::clone(&rank), None, &mut ws).unwrap();
-        csr.apply_delta(&sws_dag::CsrDelta::Recost {
-            task: 17,
-            p: None,
-            s: Some(123.456),
-        })
-        .unwrap();
+        let mut run = open_session(replan_base(), m, None, &mut ws).unwrap();
+        let rank = Arc::clone(run.rank());
+        run.csr_mut()
+            .apply_delta(&sws_dag::CsrDelta::Recost {
+                task: 17,
+                p: None,
+                s: Some(123.456),
+            })
+            .unwrap();
         let next = run
             .replan(
-                &csr,
-                rank,
+                &rank,
                 ReplanDelta::Recost {
                     task: 17,
                     p_changed: false,
@@ -2949,21 +2787,27 @@ mod tests {
             )
             .unwrap();
         assert_eq!(next.replayed_rounds(), 0);
-        assert_matches_cold(&next, &csr, m, None, "uncapped recost-s");
+        // O(1): the no-op shares the records, snapshots and schedule.
+        assert!(Arc::ptr_eq(&next.records, &run.records));
+        assert!(Arc::ptr_eq(&next.checkpoints, &run.checkpoints));
+        assert!(next
+            .outcome()
+            .schedule
+            .shares_storage(&run.outcome().schedule));
+        assert_matches_cold(&next, "uncapped recost-s");
     }
 
     #[test]
     fn capped_replan_stream_is_bit_identical_to_cold() {
-        let mut csr = replan_base();
+        let base = replan_base();
         let m = 4;
-        let total_s: f64 = (0..csr.n()).map(|i| csr.s(i)).sum();
-        let cap = Some(2.25 * (total_s / m as f64));
+        let total_s: f64 = (0..base.n()).map(|i| base.s(i)).sum();
+        let cap = 2.25 * (total_s / m as f64);
         let mut ws = KernelWorkspace::new();
-        let mut run =
-            ReplanRun::cold(&csr, m, Arc::new(index_priority(csr.n())), cap, &mut ws).unwrap();
+        let mut run = open_session(base, m, Some(cap), &mut ws).unwrap();
         let mut rng = XorShift(0xC0FFEE0DDF00D);
         for ev in 0..40 {
-            let n = csr.n() as u64;
+            let n = run.csr().n() as u64;
             let (delta, kdelta) = match rng.below(3) {
                 0 => {
                     let mut preds = Vec::new();
@@ -2999,7 +2843,7 @@ mod tests {
                 }
                 _ => {
                     let i = rng.below(n) as u32;
-                    let old = csr.s(i as usize);
+                    let old = run.csr().s(i as usize);
                     let new = old * if rng.below(2) == 0 { 0.75 } else { 1.25 };
                     let shift = if new < old {
                         CostShift::Lowered
@@ -3020,19 +2864,18 @@ mod tests {
                     )
                 }
             };
-            csr.apply_delta(&delta).unwrap();
-            let rank = Arc::new(index_priority(csr.n()));
-            match run.replan(&csr, Arc::clone(&rank), kdelta, &mut ws) {
+            run.csr_mut().apply_delta(&delta).unwrap();
+            let rank = Arc::new(index_priority(run.csr().n()));
+            match run.replan(&rank, kdelta, &mut ws) {
                 Ok(next) => {
-                    assert_matches_cold(&next, &csr, m, cap, &format!("capped event {ev}"));
+                    assert_matches_cold(&next, &format!("capped event {ev}"));
                     run = next;
                 }
                 Err(_) => {
                     // The mutated instance became infeasible at this cap:
                     // the from-scratch oracle must refuse it too.
-                    let mut cold_ws = KernelWorkspace::new();
                     assert!(
-                        ReplanRun::cold(&csr, m, rank, cap, &mut cold_ws).is_err(),
+                        plain_run(run.csr(), m, cap).is_err(),
                         "warm run errored where a cold run succeeds (event {ev})"
                     );
                     return;
@@ -3043,24 +2886,22 @@ mod tests {
 
     #[test]
     fn replan_with_a_mismatched_rank_falls_back_to_cold() {
-        let mut csr = replan_base();
         let m = 4;
         let mut ws = KernelWorkspace::new();
-        let run =
-            ReplanRun::cold(&csr, m, Arc::new(index_priority(csr.n())), None, &mut ws).unwrap();
-        csr.apply_delta(&sws_dag::CsrDelta::Recost {
-            task: 3,
-            p: Some(50.0),
-            s: None,
-        })
-        .unwrap();
+        let mut run = open_session(replan_base(), m, None, &mut ws).unwrap();
+        run.csr_mut()
+            .apply_delta(&sws_dag::CsrDelta::Recost {
+                task: 3,
+                p: Some(50.0),
+                s: None,
+            })
+            .unwrap();
         // A rank the run was not recorded under: reversed indices.
-        let n = csr.n();
+        let n = run.csr().n();
         let reversed: Arc<PriorityRank> = Arc::new((0..n).map(|i| (n - 1 - i) as u32).collect());
         let next = run
             .replan(
-                &csr,
-                Arc::clone(&reversed),
+                &reversed,
                 ReplanDelta::Recost {
                     task: 3,
                     p_changed: true,
@@ -3071,7 +2912,211 @@ mod tests {
             .unwrap();
         assert_eq!(next.replayed_rounds(), n, "mismatched rank must run cold");
         let mut cold_ws = KernelWorkspace::new();
-        let cold = ReplanRun::cold(&csr, m, reversed, None, &mut cold_ws).unwrap();
+        let csr = Arc::clone(run.csr());
+        let cold = CheckpointedRun::session(csr, m, reversed, f64::INFINITY, &mut cold_ws).unwrap();
         assert_eq!(next.outcome().schedule, cold.outcome().schedule);
+    }
+
+    /// The rank guard admits an arrival only when its `(rank, task)`
+    /// pack sorts after every recorded one. Under a degenerate recorded
+    /// rank (all equal, above the arrival's index) an arrival ranked
+    /// `n − 1` sorts *first*, wins the round-0 tie and must run cold.
+    #[test]
+    fn an_arrival_ranked_below_the_recorded_ranks_runs_cold() {
+        let m = 4;
+        let base = replan_base();
+        let n = base.n();
+        let flat = Arc::new(vec![u32::MAX - 1; n]);
+        let mut ws = KernelWorkspace::new();
+        let csr = Arc::new(base);
+        let mut run = CheckpointedRun::session(csr, m, flat, f64::INFINITY, &mut ws).unwrap();
+        let arrival = sws_dag::CsrDelta::AddTask {
+            preds: vec![],
+            p: 1.0,
+            s: 1.0,
+        };
+        run.csr_mut().apply_delta(&arrival).unwrap();
+        for (last, warm) in [(n as u32, false), (u32::MAX, true)] {
+            let mut rank = vec![u32::MAX - 1; n];
+            rank.push(last);
+            let rank = Arc::new(rank);
+            let next = run.replan(&rank, ReplanDelta::Arrival, &mut ws).unwrap();
+            assert_eq!(next.replayed_rounds() < n + 1, warm, "arrival rank {last}");
+            let mut cold_ws = KernelWorkspace::new();
+            let cold =
+                event_driven_schedule_csr(run.csr(), m, &rank, &mut Unrestricted, &mut cold_ws)
+                    .unwrap();
+            assert_same_bits(&next.outcome().schedule, &cold.schedule, "degenerate rank");
+        }
+    }
+
+    // --- The two snapshot policies of the one recorded run -----------
+
+    /// Every record of a run, floats by bit pattern.
+    fn record_bits(r: &Records) -> [Vec<u64>; 5] {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        let wide = |v: &[u32]| v.iter().map(|&x| x as u64).collect();
+        [
+            wide(&r.placed),
+            bits(&r.winner_key),
+            bits(&r.min_load),
+            bits(&r.reject_min),
+            wide(&r.place_round),
+        ]
+    }
+
+    fn kept_rounds(run: &CheckpointedRun) -> Vec<usize> {
+        run.checkpoints.iter().map(|c| c.round).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// A sweep-policy and a session-policy cold run agree on the
+        /// outcome and every record; they differ only in which stride
+        /// boundaries they keep: the sweep policy exactly those of the
+        /// strides with a finite threshold, the session policy all.
+        #[test]
+        fn snapshot_policies_differ_only_in_the_kept_boundaries(
+            family in 0usize..7,
+            n in 40usize..400,
+            m in 2usize..9,
+            seed in 0u64..1_000,
+            (tight, u) in (0usize..6, 0.0f64..1.0),
+        ) {
+            use sws_workloads::{dagsets, TaskDistribution};
+            let family = dagsets::DagFamily::all()[family];
+            let inst = dagsets::dag_workload(
+                family,
+                n,
+                m,
+                TaskDistribution::Uncorrelated,
+                &mut sws_workloads::seeded_rng(seed),
+            );
+            let (n, m) = (inst.n(), inst.m());
+            // Mostly caps just above the lower bound, where they bind in
+            // late strides (and sometimes fail), plus looser ones.
+            let factor = if tight < 4 { 1.0 + 0.005 * tight as f64 } else { 1.0 + u };
+            let cap = factor * inst.mmax_lower_bound();
+            let rank = Arc::new(index_priority(n));
+            let csr = Arc::new(inst.csr());
+            let mut ws = KernelWorkspace::new();
+            let sweep = CheckpointedRun::cold_in(&inst, Arc::clone(&csr), Arc::clone(&rank), cap, &mut ws);
+            let session = CheckpointedRun::session(csr, m, rank, cap, &mut ws);
+            let (sweep, session) = match (sweep, session) {
+                (Ok(a), Ok(b)) => (a, b),
+                (a, b) => {
+                    proptest::prop_assert_eq!(format!("{:?}", a.err()), format!("{:?}", b.err()));
+                    return;
+                }
+            };
+            assert_same_bits(&sweep.outcome().schedule, &session.outcome().schedule, "policies");
+            proptest::prop_assert_eq!(&sweep.outcome().marked, &session.outcome().marked);
+            proptest::prop_assert_eq!(record_bits(&sweep.records), record_bits(&session.records));
+            proptest::prop_assert_eq!(sweep.reject_floor.to_bits(), session.reject_floor.to_bits());
+            let stride = checkpoint_stride(n);
+            let boundaries: Vec<usize> = (0..n).step_by(stride).collect();
+            let rejecting: Vec<usize> = boundaries
+                .iter()
+                .copied()
+                .filter(|&b| {
+                    let end = (b + stride).min(n);
+                    sweep.records.reject_min[b..end].iter().any(|v| v.is_finite())
+                })
+                .collect();
+            proptest::prop_assert_eq!(kept_rounds(&sweep), rejecting);
+            proptest::prop_assert_eq!(kept_rounds(&session), boundaries);
+        }
+    }
+
+    /// The single fallback from both sides: an arrival on a sweep-policy
+    /// run replays warm only when a rejecting stride kept a boundary at
+    /// or before its ready round, and runs cold otherwise; a cap delta
+    /// on a session-policy run restores the same boundary a sweep chain
+    /// would, and a shrinking cap runs cold. Every result is
+    /// bit-identical to a plain kernel run of the changed inputs.
+    #[test]
+    fn arrivals_on_sweep_runs_and_caps_on_session_runs_match_cold() {
+        let inst = binding_instance();
+        let (n, m) = (inst.n(), inst.m());
+        let lb = inst.mmax_lower_bound();
+        let stride = checkpoint_stride(n);
+        let mut ws = KernelWorkspace::new();
+
+        // Sweep side: a binding chain keeps only late boundaries, so a
+        // source arrival (ready round 0) falls back to a cold run, and an
+        // arrival behind the last task replays warm.
+        let (mut cold_hits, mut warm_hits) = (0, 0);
+        for (cap, preds) in [
+            (1.01 * lb, vec![]),
+            (1.01 * lb, vec![(n - 1) as u32]),
+            (4.0 * lb, vec![(n - 1) as u32]),
+        ] {
+            let rank = Arc::new(index_priority(n));
+            let mut run = CheckpointedRun::cold(&inst, rank, cap).unwrap();
+            let kept = kept_rounds(&run);
+            run.csr_mut()
+                .apply_delta(&sws_dag::CsrDelta::AddTask {
+                    preds,
+                    p: 3.0,
+                    s: 1.0,
+                })
+                .unwrap();
+            let next = run
+                .replan(
+                    &Arc::new(index_priority(n + 1)),
+                    ReplanDelta::Arrival,
+                    &mut ws,
+                )
+                .unwrap();
+            assert_matches_cold(&next, &format!("arrival at cap {cap}"));
+            let r0 = run.ready_info(n).1;
+            match kept.iter().rposition(|&b| b <= r0) {
+                Some(ci) => {
+                    assert_eq!(next.replayed_rounds(), n + 1 - kept[ci]);
+                    warm_hits += 1;
+                }
+                None => {
+                    assert_eq!(next.replayed_rounds(), n + 1, "no kept boundary: cold");
+                    cold_hits += 1;
+                }
+            }
+        }
+        assert!(
+            cold_hits > 0 && warm_hits > 0,
+            "{cold_hits} cold, {warm_hits} warm"
+        );
+
+        // Session side: cap deltas restore the divergence's boundary.
+        let csr = Arc::new(inst.csr());
+        let rank = Arc::new(index_priority(n));
+        let mut run =
+            CheckpointedRun::session(Arc::clone(&csr), m, Arc::clone(&rank), 1.01 * lb, &mut ws)
+                .unwrap();
+        let mut resumed = 0;
+        while run.reject_floor.is_finite() {
+            let cap = run.reject_floor;
+            let d = first_divergence(&run.records.reject_min, cap).unwrap();
+            let next = run.replan(&rank, ReplanDelta::Cap(cap), &mut ws).unwrap();
+            assert_eq!(next.replayed_rounds(), n - d / stride * stride, "d = {d}");
+            assert_matches_cold(&next, &format!("session cap {cap}"));
+            assert_eq!(
+                kept_rounds(&next),
+                (0..n).step_by(stride).collect::<Vec<_>>()
+            );
+            run = next;
+            resumed += 1;
+        }
+        assert!(resumed >= 2, "the session chain must bind across resumes");
+        let open = run
+            .replan(&rank, ReplanDelta::Cap(f64::INFINITY), &mut ws)
+            .unwrap();
+        assert_eq!(open.replayed_rounds(), 0, "a cap that binds nowhere shares");
+        assert!(Arc::ptr_eq(&open.records, &run.records));
+        let shrunk = open
+            .replan(&rank, ReplanDelta::Cap(2.0 * lb), &mut ws)
+            .unwrap();
+        assert_eq!(shrunk.replayed_rounds(), n, "a smaller cap runs cold");
+        assert_matches_cold(&shrunk, "shrunk session cap");
     }
 }

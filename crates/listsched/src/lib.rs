@@ -41,8 +41,8 @@ pub use dag_list::{dag_list_schedule, dag_list_schedule_csr};
 pub use graham::{graham_cmax, graham_mmax, list_schedule, list_schedule_with};
 pub use kernel::{
     event_driven_schedule, event_driven_schedule_csr, Admission, CheckpointedRun, CostShift,
-    KernelOutcome, KernelWorkspace, MemoryCapAdmission, ProcHeap, ReplanDelta, ReplanRun,
-    Unrestricted, PROBE_STRIDE,
+    KernelOutcome, KernelWorkspace, MemoryCapAdmission, ProcHeap, ReplanDelta, Unrestricted,
+    PROBE_STRIDE,
 };
 pub use lpt::{lpt_cmax, lpt_mmax};
 pub use multifit::multifit_cmax;
