@@ -5,17 +5,15 @@
 //! * the single-objective scheduler plugged into SBO∆ (list scheduler vs
 //!   LPT vs MULTIFIT vs the PTAS),
 //! * the granularity of the ∆ sweep used to build approximate Pareto
-//!   fronts, and
-//! * the uniform-machine extension against the identical-machine base
-//!   case.
+//!   fronts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use sws_core::heterogeneous::{uniform_rls_lpt, UniformMachines};
 use sws_core::pareto_sweep::{rls_sweep, sbo_sweep};
-use sws_core::rls::{rls, PriorityOrder, RlsConfig};
+use sws_core::rls::{rls_in, PriorityOrder, RlsConfig};
 use sws_core::sbo::{sbo, InnerAlgorithm, SboConfig};
+use sws_listsched::KernelWorkspace;
 use sws_workloads::dagsets::{dag_workload, DagFamily};
 use sws_workloads::random::random_instance;
 use sws_workloads::rng::seeded_rng;
@@ -39,7 +37,9 @@ fn bench_ablation(c: &mut Criterion) {
             &order,
             |b, &order| {
                 let cfg = RlsConfig::new(3.0).with_order(order);
-                b.iter(|| black_box(rls(black_box(&dag), &cfg).unwrap()))
+                b.iter(|| {
+                    black_box(rls_in(black_box(&dag), &cfg, &mut KernelWorkspace::new()).unwrap())
+                })
             },
         );
     }
@@ -90,16 +90,6 @@ fn bench_ablation(c: &mut Criterion) {
         b.iter(|| {
             black_box(rls_sweep(black_box(&dag), &RlsConfig::new(3.0), 2.1, 10.0, 8).unwrap())
         })
-    });
-
-    // (d) Identical vs uniform machines (extension).
-    let identical = UniformMachines::identical(8).unwrap();
-    let skewed = UniformMachines::new(vec![4.0, 2.0, 2.0, 1.0, 1.0, 1.0, 0.5, 0.5]).unwrap();
-    group.bench_function("uniform_rls/identical", |b| {
-        b.iter(|| black_box(uniform_rls_lpt(black_box(&inst), &identical, 3.0).unwrap()))
-    });
-    group.bench_function("uniform_rls/skewed", |b| {
-        b.iter(|| black_box(uniform_rls_lpt(black_box(&inst), &skewed, 3.0).unwrap()))
     });
 
     group.finish();

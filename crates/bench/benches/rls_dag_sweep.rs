@@ -5,9 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use sws_core::rls::{rls, PriorityOrder, RlsConfig};
-use sws_listsched::dag_list_schedule;
+use sws_core::rls::{rls_in, PriorityOrder, RlsConfig};
 use sws_listsched::priority::hlf_priority;
+use sws_listsched::{dag_list_schedule, KernelWorkspace};
 use sws_workloads::dagsets::{dag_workload, DagFamily};
 use sws_workloads::rng::seeded_rng;
 use sws_workloads::TaskDistribution;
@@ -31,7 +31,9 @@ fn bench_rls(c: &mut Criterion) {
             &inst,
             |b, inst| {
                 let cfg = RlsConfig::new(3.0).with_order(PriorityOrder::BottomLevel);
-                b.iter(|| black_box(rls(black_box(inst), &cfg).unwrap()))
+                b.iter(|| {
+                    black_box(rls_in(black_box(inst), &cfg, &mut KernelWorkspace::new()).unwrap())
+                })
             },
         );
     }
@@ -50,7 +52,9 @@ fn bench_rls(c: &mut Criterion) {
             &delta,
             |b, &d| {
                 let cfg = RlsConfig::new(d);
-                b.iter(|| black_box(rls(black_box(&inst), &cfg).unwrap()))
+                b.iter(|| {
+                    black_box(rls_in(black_box(&inst), &cfg, &mut KernelWorkspace::new()).unwrap())
+                })
             },
         );
     }

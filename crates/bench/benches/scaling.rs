@@ -12,8 +12,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use sws_core::rls::{rls, RlsConfig};
+use sws_core::rls::{rls_in, RlsConfig};
 use sws_core::sbo::{sbo, InnerAlgorithm, SboConfig};
+use sws_listsched::KernelWorkspace;
 use sws_ptas::ptas_cmax;
 use sws_workloads::dagsets::{dag_workload, DagFamily};
 use sws_workloads::random::random_instance;
@@ -51,7 +52,9 @@ fn bench_scaling(c: &mut Criterion) {
         group.throughput(Throughput::Elements(inst.n() as u64));
         group.bench_with_input(BenchmarkId::new("rls_n", n), &inst, |b, inst| {
             let cfg = RlsConfig::new(3.0);
-            b.iter(|| black_box(rls(black_box(inst), &cfg).unwrap()))
+            b.iter(|| {
+                black_box(rls_in(black_box(inst), &cfg, &mut KernelWorkspace::new()).unwrap())
+            })
         });
     }
 
@@ -66,7 +69,9 @@ fn bench_scaling(c: &mut Criterion) {
         );
         group.bench_with_input(BenchmarkId::new("rls_m", m), &inst, |b, inst| {
             let cfg = RlsConfig::new(3.0);
-            b.iter(|| black_box(rls(black_box(inst), &cfg).unwrap()))
+            b.iter(|| {
+                black_box(rls_in(black_box(inst), &cfg, &mut KernelWorkspace::new()).unwrap())
+            })
         });
     }
 
@@ -99,7 +104,9 @@ fn bench_kernel_vs_naive(c: &mut Criterion) {
         group.throughput(Throughput::Elements(inst.n() as u64));
         let cfg = RlsConfig::new(3.0);
         group.bench_with_input(BenchmarkId::new("rls_kernel", n), &inst, |b, inst| {
-            b.iter(|| black_box(rls(black_box(inst), &cfg).unwrap()))
+            b.iter(|| {
+                black_box(rls_in(black_box(inst), &cfg, &mut KernelWorkspace::new()).unwrap())
+            })
         });
         group.bench_with_input(BenchmarkId::new("rls_naive", n), &inst, |b, inst| {
             b.iter(|| black_box(sws_core::rls::naive::rls(black_box(inst), &cfg).unwrap()))

@@ -3,7 +3,7 @@
 //! the allocation-free kernel core.
 //!
 //! Each benchmark pre-builds a fleet of layered-random instances and
-//! measures one `run_many` pass over the whole fleet (per-worker
+//! measures one `run_requests` pass over the whole fleet (per-worker
 //! workspaces, per-instance CSR + rank preparation included — that is
 //! the real serving cost). The `throughput_elements` field of the JSON
 //! records the fleet size, so `schedules/sec = elements /
@@ -11,16 +11,12 @@
 //!
 //! Ids:
 //!
-//! * `batch_throughput/rls_many/<count>x<n>x<m>` — RLS∆ (∆ = 3) batches;
-//! * `batch_throughput/rls_requests/<count>x<n>x<m>` — the same fleet
-//!   served as portfolio `SolveRequest`s through
+//! * `batch_throughput/rls_requests/<count>x<n>x<m>` — RLS∆ (∆ = 3)
+//!   batches served as portfolio `SolveRequest`s through
 //!   `BatchScheduler::run_requests` (per-item selection, cost stamping,
 //!   `Solution` packaging): the request-serving baseline the
 //!   `sws_service` bench (`BENCH_service.json`) compares against —
-//!   the delta to `rls_many` is the portfolio-vocabulary cost, the
-//!   delta from here to `service_throughput/serve_rls` is the queue;
-//! * `batch_throughput/dag_list_many/<count>x<n>x<m>` — unrestricted DAG
-//!   list scheduling batches;
+//!   the delta from here to `service_throughput/serve_rls` is the queue;
 //! * `batch_throughput/rls_steady/<n>x<m>` — steady-state single-instance
 //!   serving (`RlsEngine::run_detached`, CSR/rank/workspace amortized):
 //!   the per-schedule floor the batch path approaches as instance reuse
@@ -42,7 +38,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use sws_core::batch::{BatchScheduler, BatchSpec};
+use sws_core::batch::BatchScheduler;
 use sws_core::portfolio::Portfolio;
 use sws_core::rls::{PriorityOrder, RlsEngine};
 use sws_dag::DagInstance;
@@ -87,14 +83,6 @@ fn bench_batch(c: &mut Criterion) {
         let total: u64 = instances.len() as u64;
         group.throughput(Throughput::Elements(total));
         let scheduler = BatchScheduler::new();
-        group.bench_with_input(
-            BenchmarkId::new("rls_many", format!("{count}x{n}x{m}")),
-            &instances,
-            |b, instances| {
-                let spec = BatchSpec::rls(3.0, PriorityOrder::Index);
-                b.iter(|| black_box(scheduler.run_many(instances, &spec).unwrap()))
-            },
-        );
         let portfolio = Portfolio::standard();
         group.bench_with_input(
             BenchmarkId::new("rls_requests", format!("{count}x{n}x{m}")),
@@ -108,14 +96,6 @@ fn bench_batch(c: &mut Criterion) {
                     })
                     .collect();
                 b.iter(|| black_box(scheduler.run_requests(&portfolio, &items).unwrap()))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("dag_list_many", format!("{count}x{n}x{m}")),
-            &instances,
-            |b, instances| {
-                let spec = BatchSpec::dag_list(PriorityOrder::BottomLevel);
-                b.iter(|| black_box(scheduler.run_many(instances, &spec).unwrap()))
             },
         );
     }

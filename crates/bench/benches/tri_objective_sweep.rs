@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use sws_core::tri::tri_objective_rls;
+use sws_core::tri::tri_objective_rls_in;
 use sws_listsched::spt::spt_schedule;
+use sws_listsched::KernelWorkspace;
 use sws_workloads::random::random_instance;
 use sws_workloads::rng::seeded_rng;
 use sws_workloads::TaskDistribution;
@@ -23,7 +24,12 @@ fn bench_tri(c: &mut Criterion) {
         );
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("tri_rls_delta3", n), &inst, |b, inst| {
-            b.iter(|| black_box(tri_objective_rls(black_box(inst), 3.0).unwrap()))
+            b.iter(|| {
+                black_box(
+                    tri_objective_rls_in(black_box(inst), 3.0, &mut KernelWorkspace::new())
+                        .unwrap(),
+                )
+            })
         });
         group.bench_with_input(BenchmarkId::new("baseline_spt", n), &inst, |b, inst| {
             b.iter(|| black_box(spt_schedule(black_box(inst))))
@@ -35,7 +41,14 @@ fn bench_tri(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("delta", delta.to_string()),
             &delta,
-            |b, &d| b.iter(|| black_box(tri_objective_rls(black_box(&inst), d).unwrap())),
+            |b, &d| {
+                b.iter(|| {
+                    black_box(
+                        tri_objective_rls_in(black_box(&inst), d, &mut KernelWorkspace::new())
+                            .unwrap(),
+                    )
+                })
+            },
         );
     }
 

@@ -8,11 +8,11 @@
 //! row also records the proven guarantee and whether it was respected.
 
 use rayon::prelude::*;
-use serde::Serialize;
 
-use sws_core::pipeline::evaluate_sbo_result;
+use sws_core::pipeline::evaluate_solution;
 use sws_core::sbo::{InnerAlgorithm, SboEngine};
 use sws_model::ratio::Reference;
+use sws_model::solve::{ObjectiveMode, SolveRequest};
 use sws_workloads::random::random_instance;
 use sws_workloads::rng::{derive_seed, seeded_rng};
 use sws_workloads::TaskDistribution;
@@ -81,7 +81,7 @@ impl E1Config {
 }
 
 /// One averaged cell of experiment E1.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct E1Row {
     /// Distribution label.
     pub distribution: String,
@@ -181,9 +181,12 @@ fn run_cell(
         let inst = random_instance(n, m, distribution, &mut seeded_rng(seed));
         let engine = SboEngine::new(&inst, inner).expect("grid parameters are valid");
         for (acc, &delta) in accs.iter_mut().zip(deltas) {
-            let result = engine.run(delta).expect("grid parameters are valid");
-            let (report, _) =
-                evaluate_sbo_result(&inst, result).expect("grid parameters are valid");
+            let solution = engine
+                .run(delta)
+                .expect("grid parameters are valid")
+                .into_solution(&inst);
+            let req = SolveRequest::independent(&inst, ObjectiveMode::BiObjective { delta });
+            let report = evaluate_solution(&req, &solution).expect("grid parameters are valid");
             acc.cmax_ratios.push(report.ratio.cmax_ratio);
             acc.mmax_ratios.push(report.ratio.mmax_ratio);
             if report.ratio.reference_kind == Reference::Optimum {

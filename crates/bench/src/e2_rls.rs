@@ -10,10 +10,10 @@
 //! and must stay below the proven guarantees.
 
 use rayon::prelude::*;
-use serde::Serialize;
 
-use sws_core::pipeline::evaluate_rls_result;
+use sws_core::pipeline::evaluate_solution;
 use sws_core::rls::{PriorityOrder, RlsEngine};
+use sws_model::solve::{BackendId, BoundReport, ObjectiveMode, SolveRequest};
 use sws_workloads::dagsets::{dag_workload, DagFamily};
 use sws_workloads::rng::{derive_seed, seeded_rng};
 use sws_workloads::TaskDistribution;
@@ -70,7 +70,7 @@ impl E2Config {
 }
 
 /// One averaged cell of experiment E2.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct E2Row {
     /// DAG family label.
     pub family: String,
@@ -154,17 +154,20 @@ fn run_cell(config: &E2Config, family: DagFamily, n: usize, m: usize) -> Vec<E2R
             n_actual = inst.n();
         }
         let mut engine = RlsEngine::new(&inst, config.order);
+        let bounds =
+            BoundReport::with_critical_path(inst.tasks(), inst.m(), inst.critical_path_length());
         for (acc, &delta) in accs.iter_mut().zip(&config.deltas) {
             let result = engine.run(delta).expect("∆ > 2 by construction");
-            let (report, result) =
-                evaluate_rls_result(&inst, result).expect("∆ > 2 by construction");
+            let (marked, marked_bound) = (result.marked_count(), result.marked_bound());
+            let solution = result.into_solution(inst.tasks(), BackendId::KernelRls, bounds, true);
+            let req = SolveRequest::precedence(&inst, ObjectiveMode::BiObjective { delta });
+            let report = evaluate_solution(&req, &solution).expect("∆ > 2 by construction");
             acc.cmax_ratios.push(report.ratio.cmax_ratio);
             acc.mmax_ratios.push(report.ratio.mmax_ratio);
-            acc.marked_counts.push(result.marked_count() as f64);
-            acc.marked_bound = result.marked_bound();
+            acc.marked_counts.push(marked as f64);
+            acc.marked_bound = marked_bound;
             acc.guarantee_cmax = report.ratio.guarantee.map(|(gc, _)| gc).unwrap_or(0.0);
-            acc.within &=
-                report.within_guarantee() && result.marked_count() <= result.marked_bound();
+            acc.within &= report.within_guarantee() && marked <= marked_bound;
         }
     }
     accs.into_iter()

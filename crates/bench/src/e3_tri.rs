@@ -7,7 +7,6 @@
 //! the `Cmax` and `Mmax` references are the Graham lower bounds.
 
 use rayon::prelude::*;
-use serde::Serialize;
 
 use sws_core::portfolio::Portfolio;
 use sws_core::tri::corollary4_guarantee;
@@ -64,7 +63,7 @@ impl E3Config {
 }
 
 /// One averaged cell of experiment E3.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct E3Row {
     /// Distribution label.
     pub distribution: String,

@@ -8,8 +8,6 @@
 //! (unconstrained) Graham bound, and — on instances small enough for the
 //! exhaustive solver — the gap to the true constrained optimum.
 
-use serde::Serialize;
-
 use sws_core::portfolio::Portfolio;
 use sws_model::bounds::{cmax_lower_bound, mmax_lower_bound};
 use sws_model::solve::{BackendId, Guarantee, ObjectiveMode, SolveRequest};
@@ -71,7 +69,7 @@ impl E4Config {
 }
 
 /// One averaged cell of the independent-task half of experiment E4.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct E4IndependentRow {
     /// Number of tasks.
     pub n: usize,
@@ -91,7 +89,7 @@ pub struct E4IndependentRow {
 }
 
 /// One averaged cell of the DAG half of experiment E4.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct E4DagRow {
     /// DAG family label.
     pub family: String,

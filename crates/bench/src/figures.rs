@@ -15,8 +15,6 @@
 //! the adversarial instances and the simulator renders each front
 //! schedule as an ASCII Gantt chart.
 
-use serde::Serialize;
-
 use sws_core::prelude::*;
 use sws_exact::pareto_enum::pareto_front;
 use sws_simulator::gantt::GanttOptions;
@@ -27,7 +25,7 @@ use crate::table::{fmt4, Table};
 
 /// One Pareto-front entry of Figure 1 or Figure 2: the objective point,
 /// the expected value from the paper and the ASCII Gantt rendering.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FrontEntry {
     /// Achieved makespan.
     pub cmax: f64,
@@ -36,7 +34,6 @@ pub struct FrontEntry {
     /// The paper's stated value for this point.
     pub expected: (f64, f64),
     /// ASCII Gantt chart of the schedule achieving the point.
-    #[serde(skip)]
     pub gantt: String,
 }
 
@@ -125,7 +122,7 @@ fn pareto_figure(figure: u8, eps: f64, inst: &Instance, expected: &[(f64, f64)])
 }
 
 /// One series of Figure 3.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure3Series {
     /// Series label (`"lemma2 m=3"`, `"lemma3"`, `"sbo"`).
     pub label: String,

@@ -15,7 +15,7 @@
 //!
 //! This crate provides:
 //!
-//! * [`sbo`] — **SBO∆** (Algorithm 1), the symmetric bi-objective
+//! * [`mod@sbo`] — **SBO∆** (Algorithm 1), the symmetric bi-objective
 //!   combination of a makespan schedule and a memory schedule through the
 //!   threshold rule `p_i/C < ∆·s_i/M`, with the
 //!   `((1 + ∆)ρ₁, (1 + 1/∆)ρ₂)` guarantee and the `(1 + ∆ + ε, 1 + 1/∆ + ε)`
@@ -33,9 +33,10 @@
 //! * [`constrained`] — the Section 7 procedure for the original
 //!   industrial problem: derive the largest usable `∆` from a memory
 //!   budget (precedence case) or binary-search `∆` (independent case);
-//! * [`pipeline`] — end-to-end runners that schedule, simulate, validate
-//!   and report achieved-versus-guaranteed ratios, shared by the
-//!   examples, the integration tests and the benchmark harness.
+//! * [`portfolio`] — every algorithm as a `Solver` behind one routing
+//!   entry point, served in batches by [`batch`] and evaluated end to
+//!   end (simulate, validate, report achieved-versus-guaranteed ratios)
+//!   by [`pipeline`].
 //!
 //! # Quick start
 //!
@@ -63,7 +64,6 @@ pub mod batch;
 pub mod bounds;
 pub mod constrained;
 pub mod dispatch;
-pub mod heterogeneous;
 pub mod pareto_sweep;
 pub mod pipeline;
 pub mod portfolio;
@@ -72,7 +72,7 @@ pub mod rls;
 pub mod sbo;
 pub mod tri;
 
-pub use batch::{BatchAlgorithm, BatchReport, BatchScheduler, BatchSpec};
+pub use batch::BatchScheduler;
 pub use bounds::{impossibility_frontier, lemma3_point, sbo_tradeoff_curve};
 pub use constrained::{solve_dag_with_memory_budget, solve_with_memory_budget};
 pub use dispatch::DispatchWorker;
@@ -82,17 +82,16 @@ pub use pareto_sweep::{
 pub use portfolio::{KernelWorkspace, Portfolio, SolvePlan, Solver};
 pub use replan::{solve_from_scratch, ReplanEngine};
 pub use rls::{
-    rls, rls_guarantee, rls_in, rls_independent, rls_independent_in, PriorityOrder, RlsConfig,
-    RlsEngine, RlsResult,
+    rls_guarantee, rls_in, rls_independent_in, PriorityOrder, RlsConfig, RlsEngine, RlsResult,
 };
 pub use sbo::{
     corollary1_guarantee, sbo, sbo_guarantee, InnerAlgorithm, SboConfig, SboEngine, SboResult,
 };
-pub use tri::{corollary4_guarantee, tri_objective_rls, tri_objective_rls_in};
+pub use tri::{corollary4_guarantee, tri_objective_rls_in};
 
 /// Frequently used items, including the model-layer vocabulary.
 pub mod prelude {
-    pub use crate::batch::{BatchAlgorithm, BatchReport, BatchScheduler, BatchSpec};
+    pub use crate::batch::BatchScheduler;
     pub use crate::bounds::{
         impossibility_frontier, lemma1_points, lemma2_point, lemma3_point, sbo_tradeoff_curve,
         violates_impossibility,
@@ -101,24 +100,21 @@ pub mod prelude {
         solve_dag_with_memory_budget, solve_with_memory_budget, ConstrainedOutcome,
     };
     pub use crate::dispatch::DispatchWorker;
-    pub use crate::heterogeneous::{uniform_rls, uniform_rls_lpt, UniformMachines};
     pub use crate::pareto_sweep::{
         delta_grid, rls_sweep, rls_sweep_cold, sbo_sweep, sbo_sweep_cold, SweepEngine, SweepPoint,
         SweepProvenance,
     };
     pub use crate::pipeline::{
-        evaluate_request, evaluate_rls, evaluate_rls_result, evaluate_routed, evaluate_sbo,
-        evaluate_sbo_result, evaluate_solution, EvaluationReport,
+        evaluate_request, evaluate_routed, evaluate_solution, EvaluationReport,
     };
-    pub use crate::portfolio::{Portfolio, SolvePlan, Solver};
+    pub use crate::portfolio::{KernelWorkspace, Portfolio, SolvePlan, Solver};
     pub use crate::replan::{solve_from_scratch, ReplanEngine};
     pub use crate::rls::{
-        rls, rls_guarantee, rls_in, rls_independent, rls_independent_in, PriorityOrder, RlsConfig,
-        RlsEngine, RlsResult,
+        rls_guarantee, rls_in, rls_independent_in, PriorityOrder, RlsConfig, RlsEngine, RlsResult,
     };
     pub use crate::sbo::{
         corollary1_guarantee, sbo, sbo_guarantee, InnerAlgorithm, SboConfig, SboEngine, SboResult,
     };
-    pub use crate::tri::{corollary4_guarantee, tri_objective_rls, TriObjectiveResult};
+    pub use crate::tri::{corollary4_guarantee, tri_objective_rls_in, TriObjectiveResult};
     pub use sws_model::prelude::*;
 }

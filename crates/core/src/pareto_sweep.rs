@@ -51,6 +51,7 @@
 use rayon::prelude::*;
 
 use sws_dag::DagInstance;
+use sws_listsched::KernelWorkspace;
 use sws_model::error::ModelError;
 use sws_model::numeric::finite_gt;
 use sws_model::objectives::ObjectivePoint;
@@ -58,7 +59,7 @@ use sws_model::pareto::ParetoFront;
 use sws_model::schedule::{Assignment, TimedSchedule};
 use sws_model::Instance;
 
-use crate::rls::{rls, PriorityOrder, RlsConfig, RlsEngine, RlsResult};
+use crate::rls::{rls_in, PriorityOrder, RlsConfig, RlsEngine, RlsResult};
 use crate::sbo::{sbo, InnerAlgorithm, SboConfig, SboEngine};
 
 /// How a sweep point was produced.
@@ -419,8 +420,9 @@ pub fn rls_sweep(
     Ok(into_curve(front))
 }
 
-/// From-scratch serial RLS∆ sweep: one cold [`rls`] run per grid point,
-/// merged in grid order. Differential oracle (and bench baseline) for
+/// From-scratch serial RLS∆ sweep: one cold [`rls_in`] run per grid
+/// point (one kernel workspace for the whole sweep), merged in grid
+/// order. Differential oracle (and bench baseline) for
 /// the warm-started [`rls_sweep`].
 pub fn rls_sweep_cold(
     inst: &DagInstance,
@@ -433,8 +435,9 @@ pub fn rls_sweep_cold(
     let grid = delta_grid(delta_min, delta_max, samples)?;
     let order = config.order;
     let mut front: ParetoFront<Tagged<TimedSchedule>> = ParetoFront::new();
+    let mut ws = KernelWorkspace::new();
     for &delta in &grid {
-        let result = rls(inst, &RlsConfig { delta, order })?;
+        let result = rls_in(inst, &RlsConfig { delta, order }, &mut ws)?;
         let point = ObjectivePoint::of_timed_tasks(inst.tasks(), &result.schedule);
         offer_run(
             &mut front,

@@ -1,37 +1,29 @@
-//! End-to-end evaluation pipelines shared by the examples, the
-//! integration tests and the benchmark harness.
+//! End-to-end evaluation shared by the examples, the integration tests
+//! and the benchmark harness.
 //!
-//! A pipeline runs an algorithm, replays the produced schedule through the
+//! [`evaluate_solution`] takes a [`Solution`] of any portfolio
+//! [`Solver`] for a [`SolveRequest`], replays its schedule through the
 //! discrete-event simulator (which independently re-checks feasibility,
-//! precedence and memory accounting), computes the reference point —
-//! exact optimum when the instance is small enough for the exhaustive
-//! solvers, Graham lower bounds otherwise — and packages everything into
-//! an [`EvaluationReport`] with achieved-versus-guaranteed ratios.
-//!
-//! Since PR 4 every scheduler is also a portfolio [`Solver`], so the
-//! pipeline no longer needs one hardcoded entry point per algorithm:
-//! [`evaluate_request`] evaluates *any* backend (or the auto-selecting
-//! [`Portfolio`](crate::portfolio::Portfolio) itself, via
-//! [`evaluate_routed`]) on a [`SolveRequest`], producing the same
-//! [`EvaluationReport`] the fixed-algorithm runners build. The
-//! `evaluate_sbo`/`evaluate_rls` conveniences are kept for callers that
-//! also want the algorithm-specific result types; their reports are
-//! bit-identical to what they produced before the solver-generic path
-//! existed.
+//! precedence and — for the RLS∆ family — the memory cap), computes the
+//! reference point — exact optimum when the instance is small enough
+//! for the exhaustive solvers, Graham lower bounds otherwise — and
+//! packages everything into an [`EvaluationReport`] with
+//! achieved-versus-guaranteed ratios. [`evaluate_request`] solves with a
+//! named backend first, [`evaluate_routed`] with whatever the
+//! [`Portfolio`] selects; callers that already hold a result (a warm
+//! sweep point, an SBO∆ run) package it with `into_solution` and call
+//! [`evaluate_solution`] directly.
 
-use sws_dag::DagInstance;
 use sws_exact::branch_bound::optimal_point;
 use sws_model::bounds::LowerBounds;
 use sws_model::error::ModelError;
 use sws_model::objectives::{ObjectivePoint, TriObjectivePoint};
 use sws_model::ratio::{RatioReport, Reference};
-use sws_model::solve::{RequestInstance, Solution, SolveRequest};
+use sws_model::solve::{BackendId, RequestInstance, Solution, SolveRequest};
 use sws_model::Instance;
-use sws_simulator::{simulate_assignment, simulate_dag_schedule, simulate_timed};
+use sws_simulator::{simulate_dag_schedule, simulate_timed};
 
 use crate::portfolio::{resolve_dag, Portfolio, Solver};
-use crate::rls::{rls, RlsConfig, RlsResult};
-use crate::sbo::{sbo, SboConfig, SboResult};
 
 /// Instances with at most this many tasks (and a manageable `m^n`) use
 /// the exact branch-and-bound optimum as the reference point.
@@ -102,11 +94,29 @@ pub fn reference_point(inst: &Instance) -> (ObjectivePoint, Reference) {
     }
 }
 
+/// The memory cap a precedence solution was scheduled under, for the
+/// simulator to re-check: its memory ratio bound × LB. The RLS∆
+/// backends enforce exactly `∆·LB` in the kernel, and the budget
+/// procedure runs RLS∆ at `∆ = budget/LB`. Every other backend either
+/// claims no memory bound or bounds memory against the optimum rather
+/// than LB (SBO∆ serves edge-free DAG requests), so it gets no cap.
+fn scheduled_memory_cap(solution: &Solution, lb: f64) -> Option<f64> {
+    let kernel_capped = matches!(
+        solution.stats.backend,
+        BackendId::KernelRls
+            | BackendId::NaiveRls
+            | BackendId::KernelTriRls
+            | BackendId::ConstrainedSearch
+    );
+    let cap = solution.ratio_bound?.1 * lb;
+    (kernel_capped && cap.is_finite()).then_some(cap)
+}
+
 /// Evaluates a [`Solution`] produced by any portfolio [`Solver`] for
 /// `req`: replays the schedule through the discrete-event simulator
-/// (re-checking feasibility — and precedence, for DAG requests),
-/// computes the reference point the same way the fixed-algorithm
-/// runners do (independent tasks: exact optimum when affordable, Graham
+/// (re-checking feasibility — and, for DAG requests, precedence and the
+/// memory cap the solution was scheduled under), computes the reference
+/// point (independent tasks: exact optimum when affordable, Graham
 /// lower bounds otherwise; DAGs: critical-path-aware lower bounds) and
 /// packages everything into an [`EvaluationReport`] whose ratio
 /// guarantee is the solution's proven [`Solution::ratio_bound`].
@@ -142,7 +152,8 @@ pub fn evaluate_solution(
         }
         RequestInstance::Precedence(p) => {
             let dag = resolve_dag(p)?;
-            let sim = simulate_dag_schedule(&dag, &solution.schedule, None)?;
+            let cap = scheduled_memory_cap(solution, dag.mmax_lower_bound());
+            let sim = simulate_dag_schedule(&dag, &solution.schedule, cap)?;
             let cp = dag.critical_path_length();
             let lower_bounds = LowerBounds::with_critical_path(dag.tasks(), dag.m(), cp);
             let reference = ObjectivePoint::new(lower_bounds.cmax, lower_bounds.mmax);
@@ -172,8 +183,7 @@ pub fn evaluate_solution(
 }
 
 /// Runs any portfolio [`Solver`] on a [`SolveRequest`] and evaluates the
-/// outcome end to end — the solver-generic replacement for the
-/// per-algorithm `evaluate_*` entry points.
+/// outcome end to end.
 pub fn evaluate_request(
     solver: &dyn Solver,
     req: &SolveRequest,
@@ -195,106 +205,34 @@ pub fn evaluate_routed(
     Ok((report, solution))
 }
 
-/// Runs SBO∆, simulates the resulting assignment and reports
-/// achieved-versus-guaranteed ratios.
-pub fn evaluate_sbo(
-    inst: &Instance,
-    config: &SboConfig,
-) -> Result<(EvaluationReport, SboResult), ModelError> {
-    evaluate_sbo_result(inst, sbo(inst, config)?)
-}
-
-/// Evaluates an already-computed SBO∆ result (e.g. one produced by a
-/// shared [`crate::sbo::SboEngine`] across a ∆ sweep) exactly as
-/// [`evaluate_sbo`] would.
-pub fn evaluate_sbo_result(
-    inst: &Instance,
-    result: SboResult,
-) -> Result<(EvaluationReport, SboResult), ModelError> {
-    let config = result.config;
-    let sim = simulate_assignment(inst, &result.assignment, None)?;
-    let point = result.objective(inst);
-    let (reference, kind) = reference_point(inst);
-    let ratio = RatioReport::new(point, reference, kind, Some(result.guarantee));
-    let lower_bounds = LowerBounds::of_instance(inst);
-    let report = EvaluationReport {
-        algorithm: format!("sbo(∆={}, inner={})", config.delta, config.inner.label()),
-        point,
-        tri: Some(TriObjectivePoint::new(
-            point.cmax,
-            point.mmax,
-            sim.sum_completion,
-        )),
-        lower_bounds,
-        ratio,
-        utilization: sim.utilization,
-        simulated_peak_memory: sim.peak_memory,
-        n: inst.n(),
-        m: inst.m(),
-    };
-    Ok((report, result))
-}
-
-/// Runs RLS∆ on a precedence-constrained instance, simulates the schedule
-/// (re-checking precedence and the memory cap) and reports
-/// achieved-versus-guaranteed ratios against the critical-path-aware
-/// lower bounds.
-pub fn evaluate_rls(
-    inst: &DagInstance,
-    config: &RlsConfig,
-) -> Result<(EvaluationReport, RlsResult), ModelError> {
-    evaluate_rls_result(inst, rls(inst, config)?)
-}
-
-/// Evaluates an already-computed RLS∆ result (e.g. one produced by a
-/// warm-started [`crate::rls::RlsEngine`] chain) exactly as
-/// [`evaluate_rls`] would.
-pub fn evaluate_rls_result(
-    inst: &DagInstance,
-    result: RlsResult,
-) -> Result<(EvaluationReport, RlsResult), ModelError> {
-    let config = result.config;
-    let sim = simulate_dag_schedule(
-        inst,
-        &result.schedule,
-        Some(result.memory_cap.max(result.lb)),
-    )?;
-    let point = result.objective(inst.tasks());
-    let cp = inst.critical_path_length();
-    let lower_bounds = LowerBounds::with_critical_path(inst.tasks(), inst.m(), cp);
-    let reference = ObjectivePoint::new(lower_bounds.cmax, lower_bounds.mmax);
-    let ratio = RatioReport::new(
-        point,
-        reference,
-        Reference::LowerBound,
-        Some(result.guarantee),
-    );
-    let report = EvaluationReport {
-        algorithm: format!("rls(∆={}, order={})", config.delta, config.order.label()),
-        point,
-        tri: Some(TriObjectivePoint::new(
-            point.cmax,
-            point.mmax,
-            sim.sum_completion,
-        )),
-        lower_bounds,
-        ratio,
-        utilization: sim.utilization,
-        simulated_peak_memory: sim.peak_memory,
-        n: inst.n(),
-        m: inst.m(),
-    };
-    Ok((report, result))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sbo::InnerAlgorithm;
+    use crate::rls::{rls_in, RlsConfig};
+    use crate::sbo::{sbo, InnerAlgorithm, SboConfig};
+    use sws_dag::{DagInstance, TaskGraph};
+    use sws_listsched::KernelWorkspace;
+    use sws_model::schedule::TimedSchedule;
+    use sws_model::solve::{BoundReport, Guarantee, ObjectiveMode};
     use sws_workloads::dagsets::{dag_workload, DagFamily};
     use sws_workloads::random::random_instance;
     use sws_workloads::rng::seeded_rng;
     use sws_workloads::TaskDistribution;
+
+    fn bi(delta: f64) -> ObjectiveMode {
+        ObjectiveMode::BiObjective { delta }
+    }
+
+    /// Solves with the named backend of the standard portfolio and
+    /// evaluates the outcome.
+    fn evaluate_with(
+        backend: BackendId,
+        req: &SolveRequest,
+    ) -> Result<(EvaluationReport, Solution), ModelError> {
+        let portfolio = Portfolio::standard();
+        let solver = portfolio.backend(backend).expect("registered backend");
+        evaluate_request(solver, req)
+    }
 
     #[test]
     fn small_instances_get_an_exact_reference() {
@@ -309,14 +247,15 @@ mod tests {
     #[test]
     fn sbo_report_is_internally_consistent() {
         let inst = random_instance(10, 3, TaskDistribution::AntiCorrelated, &mut seeded_rng(2));
-        let (report, result) =
-            evaluate_sbo(&inst, &SboConfig::new(1.0, InnerAlgorithm::Lpt)).unwrap();
+        let req = SolveRequest::independent(&inst, bi(1.0));
+        let (report, _) = evaluate_with(BackendId::Sbo, &req).unwrap();
         // Simulator and analytic evaluation must agree.
         assert!((report.simulated_peak_memory - report.point.mmax).abs() < 1e-9);
         assert_eq!(report.n, 10);
         assert_eq!(report.m, 3);
         assert!(report.utilization > 0.0 && report.utilization <= 1.0 + 1e-12);
-        assert_eq!(report.point, result.objective(&inst));
+        let direct = sbo(&inst, &SboConfig::new(1.0, InnerAlgorithm::Lpt)).unwrap();
+        assert_eq!(report.point, direct.objective(&inst));
         assert!(report.summary_line().contains("sbo"));
     }
 
@@ -332,8 +271,8 @@ mod tests {
                 &mut seeded_rng(seed),
             );
             for &delta in &[0.5, 1.0, 2.0] {
-                let (report, _) =
-                    evaluate_sbo(&inst, &SboConfig::new(delta, InnerAlgorithm::Lpt)).unwrap();
+                let req = SolveRequest::independent(&inst, bi(delta));
+                let (report, _) = evaluate_with(BackendId::Sbo, &req).unwrap();
                 assert_eq!(report.ratio.reference_kind, Reference::Optimum);
                 assert!(
                     report.within_guarantee(),
@@ -354,10 +293,49 @@ mod tests {
             TaskDistribution::Bimodal,
             &mut rng,
         );
-        let (report, result) = evaluate_rls(&inst, &RlsConfig::new(2.5)).unwrap();
-        assert!(report.point.mmax <= 2.5 * result.lb + 1e-9);
+        let req = SolveRequest::precedence(&inst, bi(2.5));
+        let (report, solution) = evaluate_with(BackendId::KernelRls, &req).unwrap();
+        let lb = inst.mmax_lower_bound();
+        assert!(report.point.mmax <= 2.5 * lb + 1e-9);
         assert!(report.within_guarantee(), "{}", report.summary_line());
         assert!(report.tri.unwrap().sum_ci > 0.0);
+
+        // The same tasks run back to back on processor 0 in topological
+        // order: precedence-feasible, but far above ∆·LB — the
+        // simulator must reject it.
+        let order = inst.graph().topological_order().unwrap();
+        let mut start = vec![0.0; inst.n()];
+        let mut t = 0.0;
+        for &i in &order {
+            start[i] = t;
+            t += inst.tasks().get(i).p;
+        }
+        let serial = TimedSchedule::new(vec![0; inst.n()], start, inst.m()).unwrap();
+        assert!(inst.tasks().total_storage() > 2.5 * lb);
+        let overloaded = Solution {
+            schedule: serial,
+            ..solution
+        };
+        assert!(matches!(
+            evaluate_solution(&req, &overloaded),
+            Err(ModelError::MemoryExceeded { .. })
+        ));
+    }
+
+    #[test]
+    fn sbo_on_an_edge_free_dag_is_not_held_to_a_cap_against_lb() {
+        // SBO∆ bounds memory against the optimum, not LB: three unit
+        // storages on two processors give LB = 1.5 but Mmax ≥ 2, above
+        // its memory factor × LB at ∆ = 10. Ten storage-free tasks keep
+        // the instance out of the tiny exact regime.
+        let mut s = vec![0.0; 13];
+        s[..3].fill(1.0);
+        let tasks = sws_model::task::TaskSet::from_ps(&[1.0; 13], &s).unwrap();
+        let dag = DagInstance::new(TaskGraph::new(tasks), 2).unwrap();
+        let req = SolveRequest::precedence(&dag, bi(10.0));
+        let (report, solution) = evaluate_with(BackendId::Sbo, &req).unwrap();
+        let (_, gm) = solution.ratio_bound.unwrap();
+        assert!(report.point.mmax > gm * dag.mmax_lower_bound());
     }
 
     #[test]
@@ -365,7 +343,8 @@ mod tests {
         let mut rng = seeded_rng(4);
         for family in DagFamily::all() {
             let inst = dag_workload(family, 50, 3, TaskDistribution::Uncorrelated, &mut rng);
-            let (report, _) = evaluate_rls(&inst, &RlsConfig::new(3.0)).unwrap();
+            let req = SolveRequest::precedence(&inst, bi(3.0));
+            let (report, _) = evaluate_with(BackendId::KernelRls, &req).unwrap();
             assert!(
                 report.within_guarantee(),
                 "{}: {}",
@@ -377,24 +356,16 @@ mod tests {
 
     #[test]
     fn solver_generic_path_matches_the_fixed_sbo_runner() {
-        use sws_model::solve::{Guarantee, ObjectiveMode};
-
         let portfolio = crate::portfolio::Portfolio::standard();
         // Large enough that the reference point is the lower bound on
-        // both paths (the fixed runner would otherwise switch to the
-        // exact reference at n ≤ 14, as would the generic path).
+        // both paths (either would switch to the exact reference at
+        // n ≤ 14).
         let inst = random_instance(40, 3, TaskDistribution::AntiCorrelated, &mut seeded_rng(9));
         let delta = 1.5;
-        let req = sws_model::solve::SolveRequest::independent(
-            &inst,
-            ObjectiveMode::BiObjective { delta },
-        )
-        .with_guarantee(Guarantee::PaperRatio);
-        let solver = portfolio
-            .backend(sws_model::solve::BackendId::Sbo)
-            .expect("sbo registered");
-        let (generic, solution) = evaluate_request(solver, &req).unwrap();
-        let (fixed, _) = evaluate_sbo(&inst, &SboConfig::new(delta, InnerAlgorithm::Lpt)).unwrap();
+        let req = SolveRequest::independent(&inst, bi(delta)).with_guarantee(Guarantee::PaperRatio);
+        let (generic, solution) = evaluate_routed(&portfolio, &req).unwrap();
+        let direct = sbo(&inst, &SboConfig::new(delta, InnerAlgorithm::Lpt)).unwrap();
+        let fixed = evaluate_solution(&req, &direct.into_solution(&inst)).unwrap();
         assert_eq!(generic.point, fixed.point);
         assert_eq!(generic.ratio.cmax_ratio, fixed.ratio.cmax_ratio);
         assert_eq!(generic.ratio.mmax_ratio, fixed.ratio.mmax_ratio);
@@ -402,13 +373,11 @@ mod tests {
         assert_eq!(generic.simulated_peak_memory, fixed.simulated_peak_memory);
         assert_eq!(generic.utilization, fixed.utilization);
         assert_eq!(generic.tri.unwrap().sum_ci, fixed.tri.unwrap().sum_ci);
-        assert_eq!(solution.stats.backend, sws_model::solve::BackendId::Sbo);
+        assert_eq!(solution.stats.backend, BackendId::Sbo);
     }
 
     #[test]
     fn solver_generic_path_matches_the_fixed_rls_runner() {
-        use sws_model::solve::{Guarantee, ObjectiveMode};
-
         let portfolio = crate::portfolio::Portfolio::standard();
         let mut rng = seeded_rng(10);
         let dag = dag_workload(
@@ -419,15 +388,14 @@ mod tests {
             &mut rng,
         );
         let delta = 3.0;
-        let req =
-            sws_model::solve::SolveRequest::precedence(&dag, ObjectiveMode::BiObjective { delta })
-                .with_guarantee(Guarantee::PaperRatio);
+        let req = SolveRequest::precedence(&dag, bi(delta)).with_guarantee(Guarantee::PaperRatio);
         let (generic, solution) = evaluate_routed(&portfolio, &req).unwrap();
-        assert_eq!(
-            solution.stats.backend,
-            sws_model::solve::BackendId::KernelRls
-        );
-        let (fixed, _) = evaluate_rls(&dag, &RlsConfig::new(delta)).unwrap();
+        assert_eq!(solution.stats.backend, BackendId::KernelRls);
+        let direct = rls_in(&dag, &RlsConfig::new(delta), &mut KernelWorkspace::new()).unwrap();
+        let bounds =
+            BoundReport::with_critical_path(dag.tasks(), dag.m(), dag.critical_path_length());
+        let direct = direct.into_solution(dag.tasks(), BackendId::KernelRls, bounds, false);
+        let fixed = evaluate_solution(&req, &direct).unwrap();
         assert_eq!(generic.point, fixed.point);
         assert_eq!(generic.ratio.cmax_ratio, fixed.ratio.cmax_ratio);
         assert_eq!(generic.ratio.mmax_ratio, fixed.ratio.mmax_ratio);
@@ -441,7 +409,8 @@ mod tests {
     #[test]
     fn invalid_parameters_propagate_as_errors() {
         let inst = random_instance(6, 2, TaskDistribution::Correlated, &mut seeded_rng(5));
-        assert!(evaluate_sbo(&inst, &SboConfig::new(0.0, InnerAlgorithm::Graham)).is_err());
+        let req = SolveRequest::independent(&inst, bi(0.0));
+        assert!(evaluate_with(BackendId::Sbo, &req).is_err());
         let mut rng = seeded_rng(6);
         let dag = dag_workload(
             DagFamily::Diamond,
@@ -450,6 +419,7 @@ mod tests {
             TaskDistribution::Correlated,
             &mut rng,
         );
-        assert!(evaluate_rls(&dag, &RlsConfig::new(2.0)).is_err());
+        let req = SolveRequest::precedence(&dag, bi(2.0));
+        assert!(evaluate_with(BackendId::KernelRls, &req).is_err());
     }
 }

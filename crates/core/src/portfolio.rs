@@ -46,12 +46,17 @@
 //!
 //! The trait layer resolves the backend **once per request** (one
 //! virtual call), never inside scheduling rounds; the kernel backends
-//! delegate to the same monomorphized `rls_in`/`tri_objective_rls_in`
-//! entry points the pre-portfolio callers used, threading a
-//! caller-supplied [`KernelWorkspace`] through [`Portfolio::solve_in`]
-//! exactly like the batch serving path. `tests/differential_portfolio.rs`
-//! enforces that the kernel-backend path is bit-identical to calling
-//! `rls`/`rls_in` directly.
+//! delegate to the monomorphized `rls_in`/`rls_independent_in`/
+//! `tri_objective_rls_in` entry points, threading a caller-supplied
+//! [`KernelWorkspace`] through [`Portfolio::solve_in`] exactly like the
+//! batch serving path. `tests/differential_portfolio.rs` enforces that
+//! the kernel-backend path is bit-identical to calling `rls_in`
+//! directly.
+//!
+//! The portfolio is the one serving entry: the batch path
+//! (`crate::batch::BatchScheduler::run_requests`), the `sws_service`
+//! runtime and the evaluation pipeline (`crate::pipeline`) all route
+//! through it, and no pre-portfolio twin of a backend remains.
 
 use sws_dag::{DagInstance, TaskGraph};
 use sws_listsched::kernel::Unrestricted;
@@ -292,7 +297,7 @@ fn assignment_solution(
 
 /// RLS∆ (Algorithm 2) on the event-driven kernel — the workhorse for
 /// bi-objective requests. Serves DAGs natively and independent tasks
-/// through the trivial-graph wrapper; requires `∆ > 2` (Lemma 4).
+/// over an edge-free CSR; requires `∆ > 2` (Lemma 4).
 pub struct KernelRlsBackend;
 
 impl Solver for KernelRlsBackend {

@@ -7,7 +7,7 @@
 //! proves (for cap deltas) that replaying only from the first affected
 //! round is bit-identical and an order of magnitude cheaper; a
 //! [`ReplanEngine`] carries that machinery across
-//! [`CsrDelta`](sws_dag::CsrDelta) streams:
+//! [`CsrDelta`] streams:
 //!
 //! * the instance mutates **in place** (`CsrDag::apply_delta` — no
 //!   graph rebuild, no re-flattening),
@@ -38,7 +38,7 @@ use sws_listsched::kernel::{
     event_driven_schedule_csr, CheckpointedRun, CostShift, KernelWorkspace, MemoryCapAdmission,
     ReplanDelta, Unrestricted,
 };
-use sws_listsched::priority::index_priority;
+use sws_listsched::priority::{index_priority, PriorityRank};
 use sws_model::error::ModelError;
 use sws_model::numeric::max_or_zero;
 use sws_model::objectives::ObjectivePoint;
@@ -164,18 +164,14 @@ impl ReplanEngine {
             // from the cached run, zero rounds replayed.
             0
         } else {
-            let rank = match self.run.rank() {
-                same if same.len() == n => Arc::clone(same),
-                _ => Arc::new(index_priority(n)),
-            };
             let next = match kdelta {
-                Some(kdelta) if !self.stale => self.run.replan(&rank, kdelta, &mut self.ws),
+                Some(kdelta) if !self.stale => {
+                    let rank = self.rank();
+                    self.run.replan(&rank, kdelta, &mut self.ws)
+                }
                 // A failed capped apply left the cached run behind the
                 // instance: it cannot seed a replay, so solve cold.
-                _ => {
-                    let (csr, cap) = (Arc::clone(self.run.csr()), self.run.cap());
-                    CheckpointedRun::session(csr, self.m, rank, cap, &mut self.ws)
-                }
+                _ => self.solve_cold(),
             };
             self.stale = next.is_err();
             self.run = next?;
@@ -188,9 +184,32 @@ impl ReplanEngine {
     }
 
     /// The schedule of the current (mutated) instance, from the cached
-    /// run — no rounds replayed.
-    pub fn solution(&mut self) -> Solution {
-        self.solution_of(0)
+    /// run — no rounds replayed. A stale session has no run of the
+    /// current instance, so it answers with a cold solve, which fails
+    /// with the apply's typed error for as long as the instance stays
+    /// infeasible. The session's counters count applies only.
+    pub fn solution(&mut self) -> Result<Solution, ModelError> {
+        if !self.stale {
+            return Ok(self.solution_of(0));
+        }
+        self.run = self.solve_cold()?;
+        self.stale = false;
+        Ok(self.solution_of(self.run.replayed_rounds()))
+    }
+
+    /// The recorded rank when it still covers every task, the index
+    /// rank of the current instance otherwise.
+    fn rank(&self) -> Arc<PriorityRank> {
+        match self.run.rank() {
+            same if same.len() == self.n() => Arc::clone(same),
+            _ => Arc::new(index_priority(self.n())),
+        }
+    }
+
+    /// A cold session run of the current instance at the session's cap.
+    fn solve_cold(&mut self) -> Result<CheckpointedRun, ModelError> {
+        let (csr, cap) = (Arc::clone(self.run.csr()), self.run.cap());
+        CheckpointedRun::session(csr, self.m, self.rank(), cap, &mut self.ws)
     }
 
     /// The live instance.
@@ -390,7 +409,7 @@ mod tests {
         let mut engine = ReplanEngine::open(csr.clone(), 2, None).unwrap();
         let mut ws = KernelWorkspace::new();
         let oracle = solve_from_scratch(&csr, 2, None, &mut ws).unwrap();
-        let sol = engine.solution();
+        let sol = engine.solution().unwrap();
         assert_eq!(sol.schedule, oracle.schedule);
         assert_eq!(sol.point.cmax.to_bits(), oracle.point.cmax.to_bits());
         assert_eq!(sol.point.mmax.to_bits(), oracle.point.mmax.to_bits());
@@ -529,6 +548,66 @@ mod tests {
         let mut ws = KernelWorkspace::new();
         let oracle = solve_from_scratch(engine.csr(), 2, Some(5.0), &mut ws).unwrap();
         assert_eq!(sol.schedule, oracle.schedule);
+    }
+
+    /// A failed capped arrival leaves the cached run one task short of
+    /// the instance: `solution()` must answer with the typed error, not
+    /// package the short schedule against the longer instance.
+    #[test]
+    fn a_stale_session_after_a_failed_arrival_answers_with_the_error() {
+        let csr = sws_dag::generators::diamond::diamond_grid(2, 2).csr();
+        let mut engine = ReplanEngine::open(csr, 2, Some(5.0)).unwrap();
+        let arrival = CsrDelta::AddTask {
+            preds: vec![],
+            p: 1.0,
+            s: 100.0,
+        };
+        let err = engine.apply(&arrival).unwrap_err();
+        assert!(matches!(
+            err,
+            ModelError::MemoryExceeded { used, capacity, .. } if used == 101.0 && capacity == 5.0
+        ));
+        for _ in 0..2 {
+            assert_eq!(engine.solution().unwrap_err(), err);
+        }
+        let fix = CsrDelta::Recost {
+            task: 4,
+            p: None,
+            s: Some(1.0),
+        };
+        let applied = engine.apply(&fix).unwrap();
+        let mut ws = KernelWorkspace::new();
+        let oracle = solve_from_scratch(engine.csr(), 2, Some(5.0), &mut ws).unwrap();
+        assert_eq!(applied.schedule, oracle.schedule);
+        assert_eq!(engine.solution().unwrap().schedule, oracle.schedule);
+    }
+
+    /// A failed capped re-estimate leaves the old schedule beside the
+    /// new costs: `solution()` must not pair them.
+    #[test]
+    fn a_stale_session_after_a_failed_re_estimate_answers_with_the_error() {
+        let csr = sws_dag::generators::diamond::diamond_grid(2, 2).csr();
+        let mut engine = ReplanEngine::open(csr, 2, Some(5.0)).unwrap();
+        let grow = CsrDelta::Recost {
+            task: 3,
+            p: Some(2.0),
+            s: Some(100.0),
+        };
+        let err = engine.apply(&grow).unwrap_err();
+        assert!(matches!(err, ModelError::MemoryExceeded { .. }));
+        assert_eq!(engine.solution().unwrap_err(), err);
+        assert_eq!(engine.solution().unwrap_err(), err);
+        let shrink = CsrDelta::Recost {
+            task: 3,
+            p: None,
+            s: Some(1.0),
+        };
+        engine.apply(&shrink).unwrap();
+        let mut ws = KernelWorkspace::new();
+        let oracle = solve_from_scratch(engine.csr(), 2, Some(5.0), &mut ws).unwrap();
+        let sol = engine.solution().unwrap();
+        assert_eq!(sol.schedule, oracle.schedule);
+        assert_eq!(sol.point.cmax.to_bits(), oracle.point.cmax.to_bits());
     }
 
     /// The session's run is the only holder of the instance, so every

@@ -23,18 +23,21 @@
 //! including the SPT order required by the Section 5.2 tri-objective
 //! extension.
 //!
-//! Since the event-driven rework, [`rls`] runs on the shared scheduling
-//! kernel (`sws_listsched::kernel`) with the memory restriction supplied
-//! as an admissibility predicate — `O((n + E)·log n + n·log m)` as long
-//! as memory rejections on the least-loaded processor stay rare (they
-//! are, on every measured workload; the kernel's module docs state the
-//! worst case) instead of the original `O(n²·m)` scan, which survives
-//! as the differential oracle [`naive::rls`].
+//! Every cold run — [`rls_in`] on a DAG, [`rls_independent_in`] on
+//! independent tasks and [`RlsEngine::run_detached`] — goes through one
+//! private routine: the shared scheduling kernel
+//! (`sws_listsched::kernel`) with the memory restriction supplied as an
+//! admissibility predicate. That costs `O((n + E)·log n + n·log m)` as
+//! long as memory rejections on the least-loaded processor stay rare
+//! (they are, on every measured workload; the kernel's module docs state
+//! the worst case) instead of the original `O(n²·m)` scan, which
+//! survives as the differential oracle [`naive::rls`]. Warm ∆ chains
+//! resume a recorded run instead ([`RlsEngine::run`]); one-off requests
+//! go through the portfolio (`crate::portfolio`).
 
 use sws_dag::{CsrDag, DagInstance, TaskGraph};
 use sws_listsched::kernel::{
-    event_driven_schedule, event_driven_schedule_csr, CheckpointedRun, KernelWorkspace,
-    MemoryCapAdmission,
+    event_driven_schedule_csr, CheckpointedRun, KernelWorkspace, MemoryCapAdmission,
 };
 use sws_listsched::priority::{
     hlf_priority, index_priority, largest_storage_priority, largest_storage_priority_csr,
@@ -111,10 +114,19 @@ impl PriorityOrder {
     /// represent, so that arm still walks the nested graph.
     pub fn rank_csr(&self, graph: &TaskGraph, csr: &CsrDag) -> PriorityRank {
         match self {
+            PriorityOrder::BottomLevel => hlf_priority(graph),
+            _ => self.rank_edge_free(csr),
+        }
+    }
+
+    /// The rank over an edge-free CSR, which needs no graph: a task
+    /// without successors has bottom level `p_i`, so bottom-level
+    /// priority is LPT there (same comparator, same index tie-break).
+    fn rank_edge_free(&self, csr: &CsrDag) -> PriorityRank {
+        match self {
             PriorityOrder::Index => index_priority(csr.n()),
             PriorityOrder::Spt => spt_priority_csr(csr),
-            PriorityOrder::Lpt => lpt_priority_csr(csr),
-            PriorityOrder::BottomLevel => hlf_priority(graph),
+            PriorityOrder::Lpt | PriorityOrder::BottomLevel => lpt_priority_csr(csr),
             PriorityOrder::LargestStorage => largest_storage_priority_csr(csr),
         }
     }
@@ -238,9 +250,8 @@ pub fn rls_guarantee(delta: f64, m: usize) -> (f64, f64) {
     )
 }
 
-/// Validates the RLS parameter `∆ > 2` (finite). Shared with the batch
-/// serving path so the accepted parameter range can never drift.
-pub(crate) fn validate_rls_delta(delta: f64) -> Result<(), ModelError> {
+/// Validates the RLS parameter `∆ > 2` (finite).
+fn validate_rls_delta(delta: f64) -> Result<(), ModelError> {
     if !finite_gt(delta, 2.0) {
         return Err(ModelError::InvalidParameter {
             name: "delta",
@@ -252,10 +263,8 @@ pub(crate) fn validate_rls_delta(delta: f64) -> Result<(), ModelError> {
 }
 
 /// The Graham memory lower bound `LB = max(max_i s_i, Σ s_i / m)`
-/// (`0` for an empty instance). Depends only on the instance, so warm
-/// engines compute it once. Shared with the batch serving path so the
-/// enforced cap can never drift from [`rls`]'s.
-pub(crate) fn memory_lb(tasks: &TaskSet, m: usize) -> f64 {
+/// (`0` for an empty instance) — the value `DagInstance` caches.
+fn memory_lb(tasks: &TaskSet, m: usize) -> f64 {
     if tasks.is_empty() {
         0.0
     } else {
@@ -270,88 +279,75 @@ fn delta_lb_cap(tasks: &TaskSet, m: usize, config: &RlsConfig) -> Result<(f64, f
     Ok((lb, config.delta * lb))
 }
 
-/// Runs RLS∆ (Algorithm 2) on a precedence-constrained instance.
+/// The one cold RLS∆ run behind every entry point: checks `∆ > 2`,
+/// caps memory at `∆·LB`, resets `admission` to that cap, runs the
+/// kernel over `csr` with the buffers of `ws` and packages the
+/// [`RlsResult`].
 ///
-/// Returns an error when `∆ ≤ 2`: Lemma 4 shows that smaller values may
-/// mark every processor, leaving some task impossible to place.
-///
-/// This is the event-driven implementation: the shared scheduling kernel
-/// with the `memsize[q] + s_i ≤ ∆·LB` restriction plugged in as the
-/// admissibility predicate. The kernel marks processors from the winning
-/// probe only (the paper's "for analysis only" semantics); the retained
-/// [`naive::rls`] oracle marks conservatively while evaluating every
-/// candidate, so the kernel's marked set is a subset of the oracle's and
-/// both satisfy the Lemma 4 bound.
-pub fn rls(inst: &DagInstance, config: &RlsConfig) -> Result<RlsResult, ModelError> {
-    let m = inst.m();
+/// The kernel marks processors from the winning probe only (the
+/// paper's "for analysis only" semantics); the [`naive::rls`] oracle
+/// marks conservatively while evaluating every candidate, so the
+/// kernel's marked set is a subset of the oracle's and both satisfy the
+/// Lemma 4 bound.
+fn run_cold(
+    csr: &CsrDag,
+    m: usize,
+    lb: f64,
+    rank: &PriorityRank,
+    config: RlsConfig,
+    admission: &mut MemoryCapAdmission,
+    ws: &mut KernelWorkspace,
+) -> Result<RlsResult, ModelError> {
     validate_rls_delta(config.delta)?;
-    // The instance caches its Graham memory bound (serving paths must
-    // not pay the task-set pass per request); `delta_lb_cap` computes
-    // the same value for callers without a `DagInstance`.
-    let lb = inst.mmax_lower_bound();
     let cap = config.delta * lb;
-    let rank = config.order.rank(inst.graph());
-    let mut admission = MemoryCapAdmission::new(m, cap);
-    let outcome = event_driven_schedule(inst, &rank, &mut admission)?;
+    admission.reset(m, cap);
+    let outcome = event_driven_schedule_csr(csr, m, rank, admission, ws)?;
     Ok(RlsResult {
         schedule: outcome.schedule,
         lb,
         memory_cap: cap,
         marked: outcome.marked,
         guarantee: rls_guarantee(config.delta, m),
-        config: *config,
+        config,
     })
 }
 
-/// [`rls`] with an explicit reusable kernel workspace: the CSR instance
-/// mirror and the priority rank are still computed per call (they are
-/// per-instance), and the admissibility predicate's `O(m)`
-/// committed-memory vector is still allocated per call; every *kernel*
-/// buffer comes from `ws`. Callers that also want the admission vector
-/// reused should go through [`crate::batch::BatchScheduler`] or
-/// [`RlsEngine::run_detached`], which hold a resettable
-/// [`MemoryCapAdmission`]. Bit-identical to [`rls`].
+/// Runs RLS∆ (Algorithm 2) on a precedence-constrained instance,
+/// drawing every kernel buffer from `ws`; the CSR mirror, the priority
+/// rank and the `O(m)` admission vector are built per call. Callers
+/// that re-run one instance should hold an [`RlsEngine`] instead.
+///
+/// Returns an error when `∆ ≤ 2`: Lemma 4 shows that smaller values may
+/// mark every processor, leaving some task impossible to place.
 pub fn rls_in(
     inst: &DagInstance,
     config: &RlsConfig,
     ws: &mut KernelWorkspace,
 ) -> Result<RlsResult, ModelError> {
     let m = inst.m();
-    validate_rls_delta(config.delta)?;
-    let lb = inst.mmax_lower_bound();
-    let cap = config.delta * lb;
     let csr = inst.csr();
     let rank = config.order.rank_csr(inst.graph(), &csr);
-    let mut admission = MemoryCapAdmission::new(m, cap);
-    let outcome = event_driven_schedule_csr(&csr, m, &rank, &mut admission, ws)?;
-    Ok(RlsResult {
-        schedule: outcome.schedule,
-        lb,
-        memory_cap: cap,
-        marked: outcome.marked,
-        guarantee: rls_guarantee(config.delta, m),
-        config: *config,
-    })
+    let mut admission = MemoryCapAdmission::new(m, f64::INFINITY);
+    let lb = inst.mmax_lower_bound();
+    run_cold(&csr, m, lb, &rank, *config, &mut admission, ws)
 }
 
-/// Runs RLS∆ on an *independent-task* instance (the tri-objective setting
-/// of Section 5.2 and the constrained-problem procedure of Section 7).
-pub fn rls_independent(inst: &Instance, config: &RlsConfig) -> Result<RlsResult, ModelError> {
-    let graph = TaskGraph::new(inst.tasks().clone());
-    let dag = DagInstance::new(graph, inst.m())?;
-    rls(&dag, config)
-}
-
-/// [`rls_independent`] with an explicit reusable kernel workspace (see
-/// [`rls_in`]). Bit-identical to [`rls_independent`].
+/// Runs RLS∆ on an *independent-task* instance (the tri-objective
+/// setting of Section 5.2 and the constrained-problem procedure of
+/// Section 7): the kernel runs over an edge-free CSR built straight
+/// from the task set, so the schedule is the one [`rls_in`] produces
+/// for the same tasks as an edgeless DAG.
 pub fn rls_independent_in(
     inst: &Instance,
     config: &RlsConfig,
     ws: &mut KernelWorkspace,
 ) -> Result<RlsResult, ModelError> {
-    let graph = TaskGraph::new(inst.tasks().clone());
-    let dag = DagInstance::new(graph, inst.m())?;
-    rls_in(&dag, config, ws)
+    let m = inst.m();
+    let csr = CsrDag::edge_free(inst.tasks());
+    let rank = config.order.rank_edge_free(&csr);
+    let mut admission = MemoryCapAdmission::new(m, f64::INFINITY);
+    let lb = memory_lb(inst.tasks(), m);
+    run_cold(&csr, m, lb, &rank, *config, &mut admission, ws)
 }
 
 /// Warm-startable RLS∆ engine over one instance: runs a *chain* of ∆
@@ -362,7 +358,7 @@ pub fn rls_independent_in(
 /// admissible processor sets only grow and each run replays the previous
 /// one up to the first scheduling round whose admissibility verdict
 /// changes — often zero rounds once the cap stops binding. Every run's
-/// output is **bit-identical** to a from-scratch [`rls`] call at the
+/// output is **bit-identical** to a from-scratch [`rls_in`] call at the
 /// same ∆ (the differential suite checks this schedule for schedule); a
 /// descending step is valid too, it just falls back to a cold run.
 ///
@@ -468,25 +464,21 @@ impl<'a> RlsEngine<'a> {
     /// workspace, but neither consults nor records the warm chain (no
     /// checkpointing overhead). This is the steady-state serving path —
     /// every scheduling round executes, with zero per-run buffer
-    /// allocation. Bit-identical to a one-shot [`rls`] call.
+    /// allocation. Bit-identical to [`rls_in`].
     pub fn run_detached(&mut self, delta: f64) -> Result<RlsResult, ModelError> {
-        validate_rls_delta(delta)?;
-        let m = self.inst.m();
-        let cap = delta * self.lb;
-        self.admission.reset(m, cap);
-        let outcome =
-            event_driven_schedule_csr(&self.csr, m, &self.rank, &mut self.admission, &mut self.ws)?;
-        Ok(RlsResult {
-            schedule: outcome.schedule,
-            lb: self.lb,
-            memory_cap: cap,
-            marked: outcome.marked,
-            guarantee: rls_guarantee(delta, m),
-            config: RlsConfig {
-                delta,
-                order: self.order,
-            },
-        })
+        let config = RlsConfig {
+            delta,
+            order: self.order,
+        };
+        run_cold(
+            &self.csr,
+            self.inst.m(),
+            self.lb,
+            &self.rank,
+            config,
+            &mut self.admission,
+            &mut self.ws,
+        )
     }
 
     /// Rounds the kernel actually executed for the most recent
@@ -508,7 +500,7 @@ pub mod naive {
     use super::*;
 
     /// Naive RLS∆: each round rescans every unscheduled task and every
-    /// processor. Produces the same schedule as [`super::rls`]; its
+    /// processor. Produces the same schedule as [`super::rls_in`]; its
     /// `marked` set is a superset (it marks while evaluating every
     /// candidate, not just the selected one) that still satisfies the
     /// Lemma 4 bound.
@@ -651,17 +643,22 @@ mod tests {
         let inst = DagInstance::new(chain(3), 2).unwrap();
         for delta in [2.0, 1.0, 0.0, -3.0, f64::NAN] {
             assert!(
-                rls(&inst, &RlsConfig::new(delta)).is_err(),
+                rls_in(&inst, &RlsConfig::new(delta), &mut KernelWorkspace::new()).is_err(),
                 "∆ = {delta} must be rejected"
             );
         }
-        assert!(rls(&inst, &RlsConfig::new(2.0 + 1e-9)).is_ok());
+        assert!(rls_in(
+            &inst,
+            &RlsConfig::new(2.0 + 1e-9),
+            &mut KernelWorkspace::new()
+        )
+        .is_ok());
     }
 
     #[test]
     fn chain_is_executed_sequentially_regardless_of_the_cap() {
         let inst = DagInstance::new(chain(6), 3).unwrap();
-        let result = rls(&inst, &RlsConfig::new(3.0)).unwrap();
+        let result = rls_in(&inst, &RlsConfig::new(3.0), &mut KernelWorkspace::new()).unwrap();
         check_feasible(&inst, &result);
         assert!((result.schedule.cmax(inst.tasks()) - 6.0).abs() < 1e-9);
     }
@@ -672,7 +669,8 @@ mod tests {
         for family in DagFamily::all() {
             let inst = dag_workload(family, 80, 4, TaskDistribution::AntiCorrelated, &mut rng);
             for &delta in &[2.25, 3.0, 4.5] {
-                let result = rls(&inst, &RlsConfig::new(delta)).unwrap();
+                let result =
+                    rls_in(&inst, &RlsConfig::new(delta), &mut KernelWorkspace::new()).unwrap();
                 check_feasible(&inst, &result);
                 let mmax = result.objective(inst.tasks()).mmax;
                 assert!(
@@ -697,7 +695,8 @@ mod tests {
             for &m in &[2usize, 4, 8] {
                 let inst = dag_workload(family, 120, m, TaskDistribution::Uncorrelated, &mut rng);
                 for &delta in &[2.5, 3.0, 5.0] {
-                    let result = rls(&inst, &RlsConfig::new(delta)).unwrap();
+                    let result =
+                        rls_in(&inst, &RlsConfig::new(delta), &mut KernelWorkspace::new()).unwrap();
                     let cp = inst.critical_path_length();
                     let lb_c = cmax_lower_bound_prec(inst.tasks(), m, cp);
                     let cmax = result.schedule.cmax(inst.tasks());
@@ -724,7 +723,8 @@ mod tests {
                 &mut rng,
             );
             for &delta in &[2.25, 2.5, 3.0, 4.0] {
-                let result = rls(&inst, &RlsConfig::new(delta)).unwrap();
+                let result =
+                    rls_in(&inst, &RlsConfig::new(delta), &mut KernelWorkspace::new()).unwrap();
                 assert!(
                     result.marked_count() <= result.marked_bound(),
                     "m={m} ∆={delta}: {} marked > bound {}",
@@ -740,7 +740,7 @@ mod tests {
         // With an enormous cap the restriction never bites, so the result
         // must match the unrestricted Graham DAG list scheduler.
         let inst = DagInstance::new(gaussian_elimination(6), 3).unwrap();
-        let result = rls(&inst, &RlsConfig::new(1e9)).unwrap();
+        let result = rls_in(&inst, &RlsConfig::new(1e9), &mut KernelWorkspace::new()).unwrap();
         let unrestricted = sws_listsched::dag_list_schedule(
             &inst,
             &sws_listsched::priority::index_priority(inst.n()),
@@ -751,6 +751,9 @@ mod tests {
         assert_eq!(result.marked_count(), 0);
     }
 
+    /// The edge-free CSR path must reproduce the DAG path on the same
+    /// tasks as an edgeless graph, under every priority order (the
+    /// bottom-level order maps to LPT there).
     #[test]
     fn independent_wrapper_matches_the_dag_path() {
         let inst = Instance::from_ps(
@@ -759,18 +762,25 @@ mod tests {
             3,
         )
         .unwrap();
-        let via_wrapper = rls_independent(&inst, &RlsConfig::new(3.0)).unwrap();
         let dag = DagInstance::new(TaskGraph::new(inst.tasks().clone()), 3).unwrap();
-        let via_dag = rls(&dag, &RlsConfig::new(3.0)).unwrap();
-        assert_eq!(via_wrapper.schedule, via_dag.schedule);
-        let point = via_wrapper.objective(inst.tasks());
-        assert!(point.mmax <= 3.0 * via_wrapper.lb + 1e-9);
+        let mut ws = KernelWorkspace::new();
+        for order in PriorityOrder::all() {
+            let config = RlsConfig::new(3.0).with_order(order);
+            let via_wrapper = rls_independent_in(&inst, &config, &mut ws).unwrap();
+            let via_dag = rls_in(&dag, &config, &mut ws).unwrap();
+            assert_eq!(via_wrapper.schedule, via_dag.schedule, "{}", order.label());
+            assert_eq!(via_wrapper.marked, via_dag.marked, "{}", order.label());
+            assert_eq!(via_wrapper.lb, via_dag.lb);
+            let point = via_wrapper.objective(inst.tasks());
+            assert!(point.mmax <= 3.0 * via_wrapper.lb + 1e-9);
+        }
     }
 
     #[test]
     fn spt_order_schedules_short_tasks_first_on_independent_tasks() {
         let inst = Instance::from_ps(&[9.0, 1.0, 5.0], &[1.0, 1.0, 1.0], 1).unwrap();
-        let result = rls_independent(&inst, &RlsConfig::spt(4.0)).unwrap();
+        let result =
+            rls_independent_in(&inst, &RlsConfig::spt(4.0), &mut KernelWorkspace::new()).unwrap();
         // On a single machine SPT starts the shortest task first.
         assert_eq!(result.schedule.start(1), 0.0);
         assert!(result.schedule.start(0) > result.schedule.start(2));
@@ -783,7 +793,7 @@ mod tests {
             s: 1.0 + (i % 4) as f64,
         });
         let inst = DagInstance::new(graph, 3).unwrap();
-        let result = rls(&inst, &RlsConfig::new(2.25)).unwrap();
+        let result = rls_in(&inst, &RlsConfig::new(2.25), &mut KernelWorkspace::new()).unwrap();
         check_feasible(&inst, &result);
     }
 
@@ -812,7 +822,7 @@ mod tests {
     fn empty_instance_yields_an_empty_schedule() {
         let inst =
             DagInstance::new(TaskGraph::new(TaskSet::from_ps(&[], &[]).unwrap()), 2).unwrap();
-        let result = rls(&inst, &RlsConfig::new(3.0)).unwrap();
+        let result = rls_in(&inst, &RlsConfig::new(3.0), &mut KernelWorkspace::new()).unwrap();
         assert_eq!(result.schedule.n(), 0);
         assert_eq!(result.lb, 0.0);
     }
@@ -822,7 +832,12 @@ mod tests {
         let mut rng = seeded_rng(14);
         let inst = dag_workload(DagFamily::Lu, 60, 4, TaskDistribution::Correlated, &mut rng);
         for order in PriorityOrder::all() {
-            let result = rls(&inst, &RlsConfig::new(3.0).with_order(order)).unwrap();
+            let result = rls_in(
+                &inst,
+                &RlsConfig::new(3.0).with_order(order),
+                &mut KernelWorkspace::new(),
+            )
+            .unwrap();
             check_feasible(&inst, &result);
         }
     }
@@ -842,7 +857,7 @@ mod tests {
             let inst = dag_workload(family, 70, 4, TaskDistribution::AntiCorrelated, &mut rng);
             for &delta in &[2.25, 3.0, 6.0] {
                 let config = RlsConfig::new(delta);
-                let fast = rls(&inst, &config).unwrap();
+                let fast = rls_in(&inst, &config, &mut KernelWorkspace::new()).unwrap();
                 let slow = naive::rls(&inst, &config).unwrap();
                 assert_eq!(
                     fast.schedule,
@@ -878,9 +893,10 @@ mod tests {
         let mut engine = RlsEngine::new(&inst, PriorityOrder::BottomLevel);
         for &delta in &[2.1, 2.25, 2.5, 3.0, 4.0, 8.0, 64.0, 65.0] {
             let warm = engine.run(delta).unwrap();
-            let cold = rls(
+            let cold = rls_in(
                 &inst,
                 &RlsConfig::new(delta).with_order(PriorityOrder::BottomLevel),
+                &mut KernelWorkspace::new(),
             )
             .unwrap();
             assert_eq!(warm.schedule, cold.schedule, "∆={delta}");
@@ -908,8 +924,8 @@ mod tests {
         assert!(!detached.schedule.shares_storage(&second.schedule));
     }
 
-    /// The workspace-threaded and detached-engine paths must be
-    /// bit-identical to the one-shot entry point, including when one
+    /// A shared workspace and the detached-engine path must be
+    /// bit-identical to a fresh-workspace run, including when one
     /// workspace is shared across runs over different instances.
     #[test]
     fn workspace_paths_match_the_one_shot_entry_point() {
@@ -932,7 +948,7 @@ mod tests {
         for inst in [&a, &b, &a] {
             for &delta in &[2.25, 3.0, 8.0] {
                 let config = RlsConfig::new(delta);
-                let one_shot = rls(inst, &config).unwrap();
+                let one_shot = rls_in(inst, &config, &mut KernelWorkspace::new()).unwrap();
                 let via_ws = rls_in(inst, &config, &mut ws).unwrap();
                 assert_eq!(via_ws.schedule, one_shot.schedule, "∆={delta}");
                 assert_eq!(via_ws.marked, one_shot.marked, "∆={delta}");
@@ -942,7 +958,7 @@ mod tests {
         let mut engine = RlsEngine::new(&a, PriorityOrder::Index);
         for &delta in &[2.25, 3.0, 8.0, 2.5] {
             let detached = engine.run_detached(delta).unwrap();
-            let one_shot = rls(&a, &RlsConfig::new(delta)).unwrap();
+            let one_shot = rls_in(&a, &RlsConfig::new(delta), &mut KernelWorkspace::new()).unwrap();
             assert_eq!(detached.schedule, one_shot.schedule, "∆={delta}");
             assert_eq!(detached.marked, one_shot.marked, "∆={delta}");
         }
@@ -954,7 +970,9 @@ mod tests {
         let warm2 = engine.run(4.0).unwrap();
         assert_eq!(
             warm2.schedule,
-            rls(&a, &RlsConfig::new(4.0)).unwrap().schedule
+            rls_in(&a, &RlsConfig::new(4.0), &mut KernelWorkspace::new())
+                .unwrap()
+                .schedule
         );
     }
 

@@ -13,6 +13,11 @@
 //! RLS∆ with SPT ties is (2 + 1/(∆−2) − (∆−1)/(m(∆−2)), ∆, 2 + 1/(∆−2))-
 //! approximate on (Cmax, Mmax, ΣC_i).
 //! ```
+//!
+//! [`tri_objective_rls_in`] runs RLS∆ over the edge-free CSR of the task
+//! set (`crate::rls::rls_independent_in`) and folds the three
+//! objectives; requests reach it through the portfolio's tri-objective
+//! backend.
 
 use sws_model::bounds::LowerBounds;
 use sws_model::error::ModelError;
@@ -24,7 +29,7 @@ use sws_model::Instance;
 
 use sws_listsched::KernelWorkspace;
 
-use crate::rls::{rls_guarantee, rls_independent, rls_independent_in, RlsConfig, RlsResult};
+use crate::rls::{rls_guarantee, rls_independent_in, RlsConfig, RlsResult};
 
 /// The output of the tri-objective algorithm.
 #[derive(Debug, Clone)]
@@ -85,31 +90,16 @@ pub fn corollary4_guarantee(delta: f64, m: usize) -> (f64, f64, f64) {
 }
 
 /// Runs RLS∆ with SPT tie-breaking on an independent-task instance and
-/// evaluates all three objectives (Corollary 4).
-pub fn tri_objective_rls(inst: &Instance, delta: f64) -> Result<TriObjectiveResult, ModelError> {
-    let config = RlsConfig::spt(delta);
-    let rls = rls_independent(inst, &config)?;
-    finish_tri(inst, delta, rls)
-}
-
-/// [`tri_objective_rls`] with an explicit reusable kernel workspace (the
-/// E3 driver streams many instances through one). Bit-identical to
-/// [`tri_objective_rls`].
+/// evaluates all three objectives (Corollary 4), drawing the kernel
+/// buffers from `ws` (experiment E3 streams many instances through
+/// one). The portfolio serves the same run as its tri-objective
+/// backend.
 pub fn tri_objective_rls_in(
     inst: &Instance,
     delta: f64,
     ws: &mut KernelWorkspace,
 ) -> Result<TriObjectiveResult, ModelError> {
-    let config = RlsConfig::spt(delta);
-    let rls = rls_independent_in(inst, &config, ws)?;
-    finish_tri(inst, delta, rls)
-}
-
-fn finish_tri(
-    inst: &Instance,
-    delta: f64,
-    rls: RlsResult,
-) -> Result<TriObjectiveResult, ModelError> {
+    let rls = rls_independent_in(inst, &RlsConfig::spt(delta), ws)?;
     let point = TriObjectivePoint::of_timed(inst, &rls.schedule);
     Ok(TriObjectiveResult {
         point,
@@ -139,6 +129,10 @@ mod tests {
     use sws_workloads::rng::seeded_rng;
     use sws_workloads::TaskDistribution;
 
+    fn tri(inst: &Instance, delta: f64) -> Result<TriObjectiveResult, ModelError> {
+        tri_objective_rls_in(inst, delta, &mut KernelWorkspace::new())
+    }
+
     fn workload(n: usize, m: usize, seed: u64) -> Instance {
         random_instance(
             n,
@@ -161,8 +155,8 @@ mod tests {
     #[test]
     fn delta_must_exceed_two() {
         let inst = workload(10, 2, 1);
-        assert!(tri_objective_rls(&inst, 2.0).is_err());
-        assert!(tri_objective_rls(&inst, 2.1).is_ok());
+        assert!(tri(&inst, 2.0).is_err());
+        assert!(tri(&inst, 2.1).is_ok());
     }
 
     #[test]
@@ -170,7 +164,7 @@ mod tests {
         for seed in 0..5u64 {
             let inst = workload(40, 4, seed);
             for &delta in &[2.5, 3.0, 4.0, 6.0] {
-                let result = tri_objective_rls(&inst, delta).unwrap();
+                let result = tri(&inst, delta).unwrap();
                 let report = result.ratio_report(&inst);
                 assert!(report.within_guarantee(), "seed {seed} ∆ {delta}: {report}");
             }
@@ -184,7 +178,7 @@ mod tests {
         for seed in 10..15u64 {
             let inst = random_instance(30, 3, TaskDistribution::Bimodal, &mut seeded_rng(seed));
             let opt = optimal_sum_completion(&inst);
-            let result = tri_objective_rls(&inst, 3.0).unwrap();
+            let result = tri(&inst, 3.0).unwrap();
             assert!(
                 result.point.sum_ci <= (2.0 + 1.0) * opt + 1e-9,
                 "seed {seed}: ΣCi {} > 3·{opt}",
@@ -196,7 +190,7 @@ mod tests {
     #[test]
     fn produced_schedule_is_feasible_and_caps_memory() {
         let inst = workload(25, 3, 42);
-        let result = tri_objective_rls(&inst, 2.5).unwrap();
+        let result = tri(&inst, 2.5).unwrap();
         let preds: Vec<Vec<usize>> = vec![Vec::new(); inst.n()];
         validate_timed(
             inst.tasks(),
@@ -219,7 +213,7 @@ mod tests {
         // SPT list schedule, which is optimal for ΣCi.
         let inst =
             Instance::from_ps(&[4.0, 2.0, 7.0, 1.0, 3.0], &[1.0, 1.0, 1.0, 1.0, 1.0], 2).unwrap();
-        let result = tri_objective_rls(&inst, 1e6).unwrap();
+        let result = tri(&inst, 1e6).unwrap();
         let spt = spt_schedule(&inst);
         assert!((result.point.sum_ci - spt.sum_completion(inst.tasks())).abs() < 1e-9);
         assert!((result.point.sum_ci - optimal_sum_completion(&inst)).abs() < 1e-9);

@@ -1,12 +1,10 @@
 //! Structural statistics of task graphs, used in experiment logs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::TaskGraph;
 use crate::levels::{critical_path, depth, top_levels};
 
 /// Summary statistics of a task graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Number of tasks.
     pub n: usize,

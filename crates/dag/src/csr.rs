@@ -17,13 +17,15 @@
 //!   one array instead of striding over pairs.
 //!
 //! A `CsrDag` is built **once per instance** ([`TaskGraph::csr`] /
-//! [`crate::DagInstance::csr`]) and shared by every run over that
+//! [`crate::DagInstance::csr`], or [`CsrDag::edge_free`] straight from
+//! the task set of independent tasks) and shared by every run over that
 //! instance; the edge order within each list is preserved exactly, so a
 //! kernel run over the CSR form visits neighbours in the same order as
 //! one over the nested-`Vec` form.
 
 use crate::graph::TaskGraph;
 use crate::keys::KeyTable;
+use sws_model::task::TaskSet;
 use sws_model::validate::CsrPreds;
 
 /// Flat, read-only mirror of a [`TaskGraph`]: CSR adjacency in both
@@ -85,22 +87,6 @@ impl CsrDag {
             proc_time.push(t.p);
             mem_size.push(t.s);
         }
-        let cost_keys =
-            KeyTable::build_with_limit(proc_time.iter().chain(mem_size.iter()).copied(), key_limit);
-        let (p_rank, s_rank) = match &cost_keys {
-            Some(table) => {
-                let rank = |v: f64| {
-                    table
-                        .rank_of(v)
-                        .expect("the table was built over exactly these values")
-                };
-                (
-                    proc_time.iter().map(|&p| rank(p)).collect(),
-                    mem_size.iter().map(|&s| rank(s)).collect(),
-                )
-            }
-            None => (Vec::new(), Vec::new()),
-        };
         CsrDag {
             n,
             pred_offsets,
@@ -109,10 +95,55 @@ impl CsrDag {
             succ_edges,
             proc_time,
             mem_size,
-            cost_keys,
-            p_rank,
-            s_rank,
+            cost_keys: None,
+            p_rank: Vec::new(),
+            s_rank: Vec::new(),
         }
+        .quantized(key_limit)
+    }
+
+    /// The edge-free CSR of independent tasks: equal to
+    /// `CsrDag::from_graph(&TaskGraph::new(tasks.clone()))`, without
+    /// cloning the task set into a nested graph first.
+    pub fn edge_free(tasks: &TaskSet) -> Self {
+        Self::edge_free_with_key_limit(tasks, KeyTable::DEFAULT_LIMIT)
+    }
+
+    fn edge_free_with_key_limit(tasks: &TaskSet, key_limit: usize) -> Self {
+        let n = tasks.len();
+        assert!(n < u32::MAX as usize, "CSR representation uses u32 indices");
+        let offsets = vec![0u32; n + 1];
+        CsrDag {
+            n,
+            pred_offsets: offsets.clone(),
+            pred_edges: Vec::new(),
+            succ_offsets: offsets,
+            succ_edges: Vec::new(),
+            proc_time: tasks.as_slice().iter().map(|t| t.p).collect(),
+            mem_size: tasks.as_slice().iter().map(|t| t.s).collect(),
+            cost_keys: None,
+            p_rank: Vec::new(),
+            s_rank: Vec::new(),
+        }
+        .quantized(key_limit)
+    }
+
+    /// Builds the quantization table over the pooled `p` and `s` values
+    /// and the per-task ranks, or leaves both empty when the values
+    /// saturate `key_limit`.
+    fn quantized(mut self, key_limit: usize) -> Self {
+        let costs = self.proc_time.iter().chain(&self.mem_size).copied();
+        self.cost_keys = KeyTable::build_with_limit(costs, key_limit);
+        if let Some(table) = &self.cost_keys {
+            let rank = |v: f64| {
+                table
+                    .rank_of(v)
+                    .expect("the table was built over exactly these values")
+            };
+            self.p_rank = self.proc_time.iter().map(|&p| rank(p)).collect();
+            self.s_rank = self.mem_size.iter().map(|&s| rank(s)).collect();
+        }
+        self
     }
 
     /// Number of tasks.
@@ -359,6 +390,38 @@ mod tests {
             assert_eq!(capped.succs(i), full.succs(i));
             assert_eq!(capped.p(i), full.p(i));
             assert_eq!(capped.s(i), full.s(i));
+        }
+    }
+
+    fn assert_same_fields(a: &CsrDag, b: &CsrDag) {
+        assert_eq!(a.n, b.n);
+        assert_eq!(a.pred_offsets, b.pred_offsets);
+        assert_eq!(a.pred_edges, b.pred_edges);
+        assert_eq!(a.succ_offsets, b.succ_offsets);
+        assert_eq!(a.succ_edges, b.succ_edges);
+        assert_eq!(a.proc_time, b.proc_time);
+        assert_eq!(a.mem_size, b.mem_size);
+        assert_eq!(a.cost_keys, b.cost_keys);
+        assert_eq!(a.p_rank, b.p_rank);
+        assert_eq!(a.s_rank, b.s_rank);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn edge_free_equals_the_flattened_edgeless_graph() {
+        let tasks =
+            TaskSet::from_ps(&[3.0, 1.0, 3.0, 0.0, 2.5], &[2.0, 2.0, 7.0, 1.0, 0.0]).unwrap();
+        let empty = TaskSet::from_ps(&[], &[]).unwrap();
+        for tasks in [tasks, empty] {
+            let graph = TaskGraph::new(tasks.clone());
+            let csr = CsrDag::edge_free(&tasks);
+            assert_same_fields(&csr, &CsrDag::from_graph(&graph));
+            assert!(csr.cost_keys().is_some());
+            // Six distinct cost values cannot fit two ranks: both
+            // constructors refuse the table the same way.
+            let capped = CsrDag::edge_free_with_key_limit(&tasks, 2);
+            assert_same_fields(&capped, &CsrDag::from_graph_with_key_limit(&graph, 2));
+            assert_eq!(capped.cost_keys().is_none(), !tasks.is_empty());
         }
     }
 

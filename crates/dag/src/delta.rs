@@ -4,7 +4,7 @@
 //! Everything below PR 10 solves a *frozen* DAG. Online workloads are
 //! not frozen: tasks arrive, tasks finish, cost estimates get revised.
 //! A [`CsrDelta`] names one such event in terms of the flat
-//! [`CsrDag`](crate::CsrDag) mirror the scheduling kernel actually
+//! [`CsrDag`] mirror the scheduling kernel actually
 //! consumes, so a mutation can be applied **in place** — no graph
 //! rebuild, no re-flattening — and the kernel's checkpoint/replay
 //! machinery can resume from the first affected round instead of

@@ -1,7 +1,5 @@
 //! The task-graph adjacency structure and DAG instances.
 
-use serde::{Deserialize, Serialize};
-
 use sws_model::error::ModelError;
 use sws_model::task::{Task, TaskSet};
 
@@ -11,7 +9,7 @@ use sws_model::task::{Task, TaskSet};
 ///
 /// The structure stores both predecessor and successor adjacency lists so
 /// the list scheduler can query readiness in O(in-degree).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskGraph {
     tasks: TaskSet,
     preds: Vec<Vec<usize>>,
@@ -244,7 +242,7 @@ impl TaskGraph {
 
 /// A precedence-constrained instance: a task graph plus the number of
 /// identical processors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DagInstance {
     graph: TaskGraph,
     m: usize,

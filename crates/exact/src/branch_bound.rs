@@ -24,7 +24,7 @@ pub fn optimal_partition(weights: &[f64], m: usize) -> (f64, Assignment) {
 }
 
 /// [`optimal_partition`] with a cooperative cancellation probe, polled
-/// every [`PROBE_NODE_STRIDE`] search-tree nodes. A tripped probe stops
+/// every `PROBE_NODE_STRIDE` search-tree nodes. A tripped probe stops
 /// the branch and bound with `ModelError::Interrupted`.
 pub fn optimal_partition_probed(
     weights: &[f64],

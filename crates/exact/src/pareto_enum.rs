@@ -33,7 +33,7 @@ pub fn pareto_front(inst: &Instance) -> ParetoFront<Assignment> {
 }
 
 /// [`pareto_front`] with a cooperative cancellation probe, polled every
-/// [`PROBE_NODE_STRIDE`] enumeration nodes. A tripped probe stops the
+/// `PROBE_NODE_STRIDE` enumeration nodes. A tripped probe stops the
 /// enumeration with `ModelError::Interrupted`.
 ///
 /// # Panics

@@ -136,7 +136,7 @@ fn rank_of(pack: u64) -> u32 {
 /// `sift_down`. The layout is structure-of-arrays: one contiguous `key`
 /// stripe of packed `(load bits << 32) | processor` integers (loads are
 /// non-negative, so the bit pattern orders like the value — see
-/// [`time_key`] — and the pack makes every sift comparison a *single*
+/// `time_key` — and the pack makes every sift comparison a *single*
 /// integer compare with the index tie-break built in), plus the `pos`
 /// index and the `f64` `load` array serving only by-processor lookups.
 /// The 4-ary fanout puts all children of a node in one 64-byte stripe
@@ -850,9 +850,9 @@ struct PredState {
 ///
 /// # Slots
 ///
-/// The runnable structure is a [`RankBitmap`] indexed by **slot**: the
+/// The runnable structure is a `RankBitmap` indexed by **slot**: the
 /// task's position in the canonical ascending `(rank, task)` order —
-/// exactly the pop order of the [`rank_task`]-packed heap it replaces.
+/// exactly the pop order of the `rank_task`-packed heap it replaces.
 /// When the priority rank is a permutation of `0..n` (every built-in
 /// constructor), `slot == rank` and the slot tables are a copy and a
 /// scatter; degenerate ranks (duplicates, `u32::MAX` sentinels) fall
@@ -1331,7 +1331,7 @@ impl EngineState {
 ///
 /// Reuse is **stateless across runs by construction**: every buffer is
 /// fully re-initialized from the instance at the start of a run
-/// ([`EngineState::init`]), which the differential suite and a
+/// (`EngineState::init`), which the differential suite and a
 /// dedicated interleaving proptest verify bit-for-bit.
 #[derive(Debug)]
 pub struct KernelWorkspace {

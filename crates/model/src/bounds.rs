@@ -7,8 +7,6 @@
 //! * `M*max ≥ LB = max(max_i s_i, Σ s_i / m)` — the quantity computed at
 //!   the start of RLS∆ (Algorithm 2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::instance::Instance;
 use crate::task::TaskSet;
 
@@ -64,7 +62,7 @@ pub fn sum_ci_lower_bound(tasks: &TaskSet, m: usize) -> f64 {
 }
 
 /// All lower bounds of an instance, bundled for reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LowerBounds {
     /// Lower bound on `C*max`.
     pub cmax: f64,

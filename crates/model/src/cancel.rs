@@ -9,7 +9,7 @@
 //! inside the kernel's event loop without measurable overhead.
 //!
 //! A tripped probe surfaces as
-//! [`ModelError::Interrupted`](crate::error::ModelError::Interrupted),
+//! [`ModelError::Interrupted`],
 //! which propagates through the ordinary `Result` plumbing of every
 //! solver: no unwinding, no poisoned state, and the workspace remains
 //! reusable afterwards.

@@ -1,13 +1,11 @@
 //! Independent-task instances of `P | p_j, s_j | Cmax, Mmax`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 use crate::task::{Task, TaskSet};
 
 /// An instance of the independent-task problem: a task set plus the number
 /// of identical processors `m`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     tasks: TaskSet,
     m: usize,
@@ -119,7 +117,7 @@ impl Instance {
 }
 
 /// Descriptive statistics of an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceStats {
     /// Number of tasks.
     pub n: usize,

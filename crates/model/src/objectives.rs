@@ -1,7 +1,5 @@
 //! Objective evaluation: `Cmax`, `Mmax` and `ΣC_i`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::instance::Instance;
 use crate::numeric::{approx_le, max_or_zero};
 use crate::schedule::{Assignment, TimedSchedule};
@@ -36,7 +34,7 @@ pub fn sum_completion(tasks: &TaskSet, sched: &TimedSchedule) -> f64 {
 }
 
 /// A point in the bi-objective space `(Cmax, Mmax)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectivePoint {
     /// Makespan.
     pub cmax: f64,
@@ -110,7 +108,7 @@ impl std::fmt::Display for ObjectivePoint {
 
 /// A point in the tri-objective space `(Cmax, Mmax, ΣC_i)` used by the
 /// Section 5.2 extension.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TriObjectivePoint {
     /// Makespan.
     pub cmax: f64,

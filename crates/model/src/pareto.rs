@@ -6,8 +6,6 @@
 //! solver uses this module to maintain those fronts, and the figure
 //! harness uses it to emit them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::numeric::{approx_eq, approx_le, strictly_lt};
 use crate::objectives::ObjectivePoint;
 
@@ -26,7 +24,7 @@ pub fn equivalent(a: &ObjectivePoint, b: &ObjectivePoint) -> bool {
 
 /// A Pareto front of objective points, each optionally tagged with a
 /// payload (e.g. the schedule that achieved it).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParetoFront<T = ()> {
     entries: Vec<(ObjectivePoint, T)>,
 }

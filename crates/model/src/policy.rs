@@ -4,8 +4,8 @@
 //! [`crate::solve::SolveRequest`]s from many tenants and must decide —
 //! **before** spending any scheduling work — whether to admit, degrade
 //! or refuse each request. The decision vocabulary lives here at the
-//! model layer, next to [`Guarantee`](crate::solve::Guarantee) and
-//! [`CostEstimate`](crate::solve::CostEstimate), so every front (the
+//! model layer, next to [`Guarantee`] and
+//! [`CostEstimate`], so every front (the
 //! in-process service, the batch path, future network fronts) speaks the
 //! same admission language and the policy table in `docs/ALGORITHMS.md`
 //! has one source of truth.
@@ -26,7 +26,7 @@
 //!    [`TenantPolicy::max_estimated_work`] is refused
 //!    ([`QuotaError::WorkExceeded`]) or, under
 //!    [`OverflowPolicy::Degrade`], re-planned at
-//!    [`Guarantee::PaperRatio`](crate::solve::Guarantee::PaperRatio).
+//!    [`Guarantee::PaperRatio`].
 //! 5. **In-flight quota** — a tenant at
 //!    [`TenantPolicy::max_in_flight`] admitted-but-unfinished requests
 //!    is refused ([`QuotaError::InFlightExceeded`]) unless its overflow
@@ -53,7 +53,7 @@ use crate::solve::{BackendId, CostEstimate, Guarantee};
 ///
 /// While shedding, the front walks the documented ladder instead of
 /// admitting at full strength: requests above
-/// [`Guarantee::PaperRatio`](crate::solve::Guarantee::PaperRatio) are
+/// [`Guarantee::PaperRatio`] are
 /// degraded toward the tenant's [`TenantPolicy::guarantee_floor`]
 /// (when the floor admits it), and everything else is refused with the
 /// typed [`QuotaError::Overloaded`] — the same refusal vocabulary every

@@ -7,15 +7,13 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 use crate::instance::Instance;
 use crate::numeric::kahan_sum;
 use crate::task::TaskSet;
 
 /// A pure assignment of tasks to processors, `π : T → Q`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     proc_of: Vec<usize>,
     m: usize,
@@ -165,7 +163,7 @@ impl Assignment {
 /// every grid point it did not change. Equality still compares
 /// contents; [`TimedSchedule::shares_storage`] tells whether two
 /// schedules are the same buffers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimedSchedule {
     proc_of: Arc<[usize]>,
     start: Arc<[f64]>,

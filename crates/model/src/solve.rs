@@ -287,9 +287,6 @@ pub enum BackendId {
     /// Section 7 budget procedure (RLS∆ with derived ∆, or the SBO∆
     /// binary search).
     ConstrainedSearch,
-    /// The uniform-machine restricted list scheduler (the beyond-paper
-    /// extension in `sws_core::heterogeneous`).
-    UniformRls,
 }
 
 impl BackendId {
@@ -310,7 +307,6 @@ impl BackendId {
             BackendId::ExactBranchBound => "exact-branch-bound",
             BackendId::ExactParetoEnum => "exact-pareto-enum",
             BackendId::ConstrainedSearch => "constrained-search",
-            BackendId::UniformRls => "uniform-rls",
         }
     }
 }
@@ -330,10 +326,6 @@ pub enum BoundSource {
     /// Identical machines with the critical-path strengthening
     /// `Cmax ≥ critical path length`.
     CriticalPath,
-    /// Uniform (related) machines:
-    /// `Cmax ≥ max(max p_i / v_max, Σp_i / Σv_q)`; the memory side is
-    /// speed-independent and stays the Graham bound.
-    UniformSpeeds,
     /// The bound is the exact optimum (exact backends).
     ExactOptimum,
 }
@@ -344,15 +336,14 @@ impl BoundSource {
         match self {
             BoundSource::GrahamIdentical => "graham-identical",
             BoundSource::CriticalPath => "critical-path",
-            BoundSource::UniformSpeeds => "uniform-speeds",
             BoundSource::ExactOptimum => "exact-optimum",
         }
     }
 }
 
 /// The lower bounds a solution's ratios are reported against, tagged with
-/// their provenance so identical-machine and heterogeneous runs report
-/// comparable numbers through one code path.
+/// their provenance so every backend reports comparable numbers through
+/// one code path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundReport {
     /// Lower bound on the optimal makespan.
@@ -394,27 +385,6 @@ impl BoundReport {
             cmax: cmax_lower_bound_prec(tasks, m, critical_path),
             mmax: mmax_lower_bound(tasks, m),
             source: BoundSource::CriticalPath,
-        }
-    }
-
-    /// The uniform-machine generalization: `Cmax ≥ max(max_i p_i / v_max,
-    /// Σ_i p_i / Σ_q v_q)`; the memory bound is speed-independent.
-    ///
-    /// This is the single derivation both the identical-machine path
-    /// (`v_q ≡ 1` reduces it to [`BoundReport::identical`]) and
-    /// `sws_core::heterogeneous` report through.
-    pub fn uniform(tasks: &TaskSet, m: usize, max_speed: f64, total_speed: f64) -> Self {
-        if tasks.is_empty() {
-            return BoundReport {
-                cmax: 0.0,
-                mmax: 0.0,
-                source: BoundSource::UniformSpeeds,
-            };
-        }
-        BoundReport {
-            cmax: (tasks.max_processing() / max_speed).max(tasks.total_work() / total_speed),
-            mmax: mmax_lower_bound(tasks, m),
-            source: BoundSource::UniformSpeeds,
         }
     }
 
@@ -617,17 +587,6 @@ mod tests {
         assert!(eps1.satisfies(&paper) && !paper.satisfies(&eps1));
         assert!(!paper.satisfies(&exact) && !eps1.satisfies(&exact));
         assert!(!none.satisfies(&paper));
-    }
-
-    #[test]
-    fn uniform_bounds_with_unit_speeds_match_the_identical_bounds() {
-        let tasks = TaskSet::from_ps(&[3.0, 5.0, 2.0, 8.0], &[1.0, 4.0, 2.0, 3.0]).unwrap();
-        let ident = BoundReport::identical(&tasks, 3);
-        let unif = BoundReport::uniform(&tasks, 3, 1.0, 3.0);
-        assert_eq!(ident.cmax, unif.cmax);
-        assert_eq!(ident.mmax, unif.mmax);
-        assert_eq!(ident.source, BoundSource::GrahamIdentical);
-        assert_eq!(unif.source, BoundSource::UniformSpeeds);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Tasks and task identifiers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 
 /// Index of a task inside an instance.
@@ -9,7 +7,7 @@ use crate::error::ModelError;
 /// Tasks are always stored densely (`0..n`), so the identifier is simply a
 /// wrapper around the index; the newtype prevents accidentally mixing task
 /// and processor indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub usize);
 
 impl TaskId {
@@ -40,7 +38,7 @@ impl std::fmt::Display for TaskId {
 ///
 /// The paper explicitly assumes the processing time of a task is *not*
 /// related to the memory it uses, so the two fields are independent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Task {
     /// Processing time `p_i ≥ 0`.
     pub p: f64,
@@ -99,7 +97,7 @@ impl Task {
 }
 
 /// A non-empty collection of tasks with dense identifiers `0..n`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TaskSet {
     tasks: Vec<Task>,
 }

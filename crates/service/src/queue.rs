@@ -6,7 +6,7 @@
 //! level indefinitely. The queue is now fair by construction. Each
 //! tenant owns a *lane* — a sub-queue ordered `(priority desc, seq
 //! asc)`, so priorities still order a tenant's **own** work — and the
-//! lanes are served by deficit round robin ([`DRR`], Shreedhar &
+//! lanes are served by deficit round robin (DRR, Shreedhar &
 //! Varghese) *charged in the same `CostEstimate` work units the
 //! admission path already computes*:
 //!

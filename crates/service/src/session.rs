@@ -5,7 +5,7 @@
 //! A *session* instead pins one mutating DAG instance to the tenant
 //! that owns it: the cold solve is paid once at
 //! [`ServiceHandle::open_session`], and every subsequent
-//! [`CsrDelta`](sws_dag::CsrDelta) — a task arrival, a completion, a
+//! [`CsrDelta`] — a task arrival, a completion, a
 //! cost re-estimate — is served by warm-starting the kernel from the
 //! first affected round. The returned schedules are **bit-identical**
 //! to from-scratch solves of the mutated instance (that is the
@@ -72,8 +72,9 @@ impl SessionTicket {
     /// The event first passes the tenant's work gate at the session's
     /// *incremental* cost estimate; refusals
     /// ([`QuotaError::WorkExceeded`]) leave the instance untouched, as
-    /// do typed solve errors (a capped session turning infeasible, a
-    /// re-estimate of a completed task).
+    /// do rejected deltas (a re-estimate of a completed task). A delta
+    /// that turns a capped session infeasible stays applied and leaves
+    /// the session stale (see [`SessionTicket::solution`]).
     pub fn apply(&mut self, delta: &CsrDelta) -> Result<Solution, ServiceError> {
         let shared = &*self.shared;
         if !shared.accepting.load(Ordering::Acquire) {
@@ -115,9 +116,12 @@ impl SessionTicket {
     }
 
     /// The schedule of the current instance, from the cached run — no
-    /// replay, no admission gate (nothing is spent answering it).
-    pub fn solution(&mut self) -> Solution {
-        self.engine.solution()
+    /// replay, no admission gate. A stale session (an apply turned a
+    /// capped instance infeasible) answers with a cold solve instead
+    /// ([`ReplanEngine::solution`]), which fails with the same typed
+    /// error while the instance stays infeasible.
+    pub fn solution(&mut self) -> Result<Solution, ServiceError> {
+        self.engine.solution().map_err(ServiceError::Solve)
     }
 
     /// The live (mutated) instance.

@@ -341,7 +341,7 @@ pub struct ScopeStats {
     /// 99th-percentile submit→completion latency.
     pub p99_latency: Option<Duration>,
     /// 99th-percentile latency over roughly the last one to two
-    /// [`RecentLatency`] windows — the overload-pressure signal, not a
+    /// `RecentLatency` windows — the overload-pressure signal, not a
     /// lifetime statistic. `None` when the window saw no completions.
     pub recent_p99: Option<Duration>,
     /// Requests queued in this scope's queue lane right now (for the

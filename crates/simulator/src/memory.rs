@@ -4,10 +4,8 @@
 //! for a task stays resident on the processor for the rest of the run, so
 //! each processor's occupancy is a non-decreasing step function of time.
 
-use serde::{Deserialize, Serialize};
-
 /// The memory occupancy of every processor over time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryProfile {
     /// For each processor, the `(time, new_level)` steps in chronological
     /// order of allocation.

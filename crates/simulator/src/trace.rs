@@ -1,11 +1,9 @@
 //! Event traces and utilization summaries.
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::{Event, EventKind};
 
 /// A chronological record of the simulation events.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     events: Vec<Event>,
 }

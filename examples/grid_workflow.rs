@@ -13,12 +13,11 @@
 //! which additionally keeps the mean completion time low so early results
 //! come back quickly.
 
-use sws_core::pipeline::{evaluate_rls, evaluate_sbo};
+use sws_core::pipeline::{evaluate_request, evaluate_solution};
 use sws_core::prelude::*;
-use sws_core::rls::{PriorityOrder, RlsConfig};
-use sws_core::sbo::{InnerAlgorithm, SboConfig};
+use sws_core::rls::{PriorityOrder, RlsEngine};
 use sws_core::tri::corollary4_guarantee;
-use sws_model::solve::{ObjectiveMode, SolveRequest};
+use sws_model::solve::{BackendId, BoundReport, ObjectiveMode, SolveRequest};
 use sws_workloads::dagsets::{dag_workload, DagFamily};
 use sws_workloads::grid::grid_workload;
 use sws_workloads::rng::seeded_rng;
@@ -46,9 +45,17 @@ fn main() {
         "  {:>6}  {:>10}  {:>10}  {:>12}  {:>12}",
         "∆", "Cmax", "Mmax", "Cmax ratio", "Mmax ratio"
     );
+    let mut engine = RlsEngine::new(&workflow, PriorityOrder::BottomLevel);
+    let bounds = BoundReport::with_critical_path(
+        workflow.tasks(),
+        workflow.m(),
+        workflow.critical_path_length(),
+    );
     for &delta in &[2.25, 2.5, 3.0, 4.0, 6.0, 10.0] {
-        let config = RlsConfig::new(delta).with_order(PriorityOrder::BottomLevel);
-        let (report, _) = evaluate_rls(&workflow, &config).expect("∆ > 2 is valid");
+        let result = engine.run(delta).expect("∆ > 2 is valid");
+        let solution = result.into_solution(workflow.tasks(), BackendId::KernelRls, bounds, true);
+        let req = SolveRequest::precedence(&workflow, ObjectiveMode::BiObjective { delta });
+        let report = evaluate_solution(&req, &solution).expect("a valid schedule");
         println!(
             "  {:>6.2}  {:>10.1}  {:>10.1}  {:>12.3}  {:>12.3}",
             delta,
@@ -71,8 +78,10 @@ fn main() {
     );
 
     // A plain bi-objective schedule ignores the mean completion time...
-    let (sbo_report, _) =
-        evaluate_sbo(&batch, &SboConfig::new(1.0, InnerAlgorithm::Lpt)).expect("valid parameters");
+    let portfolio = Portfolio::standard();
+    let sbo_backend = portfolio.backend(BackendId::Sbo).expect("registered");
+    let req = SolveRequest::independent(&batch, ObjectiveMode::BiObjective { delta: 1.0 });
+    let (sbo_report, _) = evaluate_request(sbo_backend, &req).expect("valid parameters");
     println!(
         "  SBO∆=1 (LPT):        Cmax = {:.1}, Mmax = {:.1}, ΣCi = {:.1}",
         sbo_report.point.cmax,
@@ -83,7 +92,6 @@ fn main() {
     // ...while the tri-objective algorithm also guarantees ΣCi. The
     // requests go through the unified portfolio, which routes them to
     // the SPT-tie RLS∆ kernel backend.
-    let portfolio = Portfolio::standard();
     for &delta in &[2.5, 4.0] {
         let req = SolveRequest::independent(&batch, ObjectiveMode::TriObjective { delta })
             .with_guarantee(Guarantee::PaperRatio);

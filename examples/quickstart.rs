@@ -12,7 +12,7 @@
 //! with RLS∆ on a small task graph.
 
 use sws_core::prelude::*;
-use sws_core::rls::{rls, RlsConfig};
+use sws_core::rls::{rls_in, RlsConfig};
 use sws_core::sbo::{sbo, InnerAlgorithm, SboConfig};
 use sws_dag::generators::gauss::gaussian_elimination;
 use sws_dag::DagInstance;
@@ -59,7 +59,8 @@ fn main() {
     // RLS∆ handles precedence constraints: schedule a Gaussian-elimination
     // task graph under a memory cap of 3·LB.
     let dag = DagInstance::new(gaussian_elimination(5), 3).expect("valid DAG instance");
-    let result = rls(&dag, &RlsConfig::new(3.0)).expect("∆ > 2 is valid");
+    let mut ws = KernelWorkspace::new();
+    let result = rls_in(&dag, &RlsConfig::new(3.0), &mut ws).expect("∆ > 2 is valid");
     let point = ObjectivePoint::of_timed_tasks(dag.tasks(), &result.schedule);
     let (gc, gm) = result.guarantee;
     println!(
@@ -113,7 +114,7 @@ fn main() {
     let dag_request = SolveRequest::precedence(&dag, ObjectiveMode::BiObjective { delta: 3.0 });
     let solution = portfolio.solve(&dag_request).expect("∆ > 2 is valid");
     println!(
-        "  DAG, bi-objective ∆ = 3 -> {:<14} {}   (same schedule as rls(): {})",
+        "  DAG, bi-objective ∆ = 3 -> {:<14} {}   (same schedule as rls_in(): {})",
         solution.stats.backend.label(),
         solution.point,
         solution.schedule == result.schedule

@@ -1,5 +1,4 @@
-//! Trade-off exploration: approximate Pareto fronts from the ∆ sweep and
-//! the uniform-machine extension.
+//! Trade-off exploration: approximate Pareto fronts from the ∆ sweep.
 //!
 //! Run with:
 //! ```text
@@ -11,7 +10,7 @@
 //! shows what a practitioner gets by sweeping ∆: an approximate
 //! trade-off curve for an independent-task batch (compared against the
 //! exact Pareto front on a small instance) and for a task-graph
-//! workload, and finally a glimpse of the uniform-machine extension.
+//! workload.
 
 use sws_core::prelude::*;
 use sws_core::rls::RlsConfig;
@@ -76,27 +75,4 @@ fn main() {
     for p in &curve {
         println!("  ∆ = {:<8.3} {}", p.delta, p.point);
     }
-    println!();
-
-    // ----- Uniform machines (extension beyond the paper) -------------------
-    let machines = UniformMachines::new(vec![4.0, 2.0, 1.0, 1.0]).unwrap();
-    let inst = random_instance(80, 4, TaskDistribution::Uncorrelated, &mut rng);
-    let result = uniform_rls_lpt(&inst, &machines, 3.0).expect("valid parameters");
-    println!("Uniform-machine extension (speeds 4:2:1:1, ∆ = 3):");
-    println!(
-        "  Cmax = {:.1} ({:.3}× the uniform lower bound), Mmax = {:.1} ({:.3}× LB ≤ ∆)",
-        result.point.cmax,
-        result.cmax_ratio(),
-        result.point.mmax,
-        result.mmax_ratio()
-    );
-    // The ratios above are reported through the shared bound vocabulary,
-    // so heterogeneous runs carry the same provenance tags as the
-    // identical-machine backends.
-    println!(
-        "  lower-bound provenance: {} (Cmax ≥ {:.1}, Mmax ≥ {:.1})",
-        result.stats.bounds.source.label(),
-        result.stats.bounds.cmax,
-        result.stats.bounds.mmax
-    );
 }

@@ -17,7 +17,7 @@
 //! * [`workloads`] — random and structured instance generators;
 //! * [`core`] — the paper's algorithms (SBO∆, RLS∆, tri-objective,
 //!   constrained procedure, ∆-sweeps);
-//! * [`bench`] — experiment and figure-regeneration harness.
+//! * [`mod@bench`] — experiment and figure-regeneration harness.
 
 #![forbid(unsafe_code)]
 

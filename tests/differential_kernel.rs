@@ -13,12 +13,12 @@
 use std::time::Instant;
 
 use sws_core::pareto_sweep::{rls_sweep, sbo_sweep};
-use sws_core::rls::{naive, rls, rls_guarantee, PriorityOrder, RlsConfig};
+use sws_core::rls::{naive, rls_guarantee, rls_in, PriorityOrder, RlsConfig};
 use sws_core::sbo::InnerAlgorithm;
-use sws_core::tri::tri_objective_rls;
+use sws_core::tri::tri_objective_rls_in;
 use sws_dag::DagInstance;
 use sws_listsched::priority::{hlf_priority, index_priority, spt_priority};
-use sws_listsched::{dag_list_schedule, naive as listsched_naive};
+use sws_listsched::{dag_list_schedule, naive as listsched_naive, KernelWorkspace};
 use sws_model::bounds::{cmax_lower_bound_prec, mmax_lower_bound};
 use sws_model::objectives::ObjectivePoint;
 use sws_model::validate::validate_timed;
@@ -47,7 +47,7 @@ fn rls_kernel_matches_naive_on_every_family_order_and_m() {
                 let inst = workload(family, 64, m, stream);
                 for &delta in &[2.25, 3.0, 6.0] {
                     let config = RlsConfig::new(delta).with_order(order);
-                    let fast = rls(&inst, &config).unwrap();
+                    let fast = rls_in(&inst, &config, &mut KernelWorkspace::new()).unwrap();
                     let slow = naive::rls(&inst, &config).unwrap();
                     assert_eq!(
                         fast.schedule,
@@ -95,7 +95,7 @@ fn csr_workspace_reuse_matches_the_kernel_on_every_family_order_and_m() {
                 for &delta in &[2.25, 3.0, 6.0] {
                     let config = RlsConfig::new(delta).with_order(order);
                     let reused = sws_core::rls::rls_in(&inst, &config, &mut ws).unwrap();
-                    let one_shot = rls(&inst, &config).unwrap();
+                    let one_shot = rls_in(&inst, &config, &mut KernelWorkspace::new()).unwrap();
                     assert_eq!(
                         reused.schedule,
                         one_shot.schedule,
@@ -171,17 +171,23 @@ fn saturated_and_quantized_tables_interleave_through_one_workspace() {
                 order.label()
             );
             let config = RlsConfig::new(3.0).with_order(order);
-            assert_eq!(a, rls(&inst, &config).unwrap().schedule);
+            assert_eq!(
+                a,
+                rls_in(&inst, &config, &mut KernelWorkspace::new())
+                    .unwrap()
+                    .schedule
+            );
         }
     }
 }
 
-/// The batch serving API vs per-instance one-shot runs: same schedules,
-/// same Lemma-4 marking, in input order, independent of the worker
-/// count.
+/// The batch serving API vs per-instance direct solves: same schedules,
+/// in input order, independent of the worker count.
 #[test]
 fn batch_scheduler_matches_one_shot_runs() {
-    use sws_core::batch::{BatchScheduler, BatchSpec};
+    use sws_core::batch::BatchScheduler;
+    use sws_core::portfolio::Portfolio;
+    use sws_model::solve::{ObjectiveMode, SolveRequest};
 
     let mut stream = 400u64;
     let mut instances = Vec::new();
@@ -191,24 +197,26 @@ fn batch_scheduler_matches_one_shot_runs() {
             instances.push(workload(family, n, m, stream));
         }
     }
-    for workers in [1usize, 3] {
+    let requests = |objective: ObjectiveMode| -> Vec<SolveRequest> {
+        instances
+            .iter()
+            .map(|inst| SolveRequest::precedence(inst, objective))
+            .collect()
+    };
+    let rls_items = requests(ObjectiveMode::BiObjective { delta: 3.0 });
+    let list_items = requests(ObjectiveMode::CmaxOnly);
+    let portfolio = Portfolio::standard();
+    for workers in [1usize, 2, instances.len() + 3] {
         let scheduler = BatchScheduler::with_workers(workers);
-        let rls_outcomes = scheduler
-            .run_many(&instances, &BatchSpec::rls(3.0, PriorityOrder::BottomLevel))
-            .unwrap();
-        let list_outcomes = scheduler
-            .run_many(&instances, &BatchSpec::dag_list(PriorityOrder::Index))
-            .unwrap();
+        let rls_outcomes = scheduler.run_requests(&portfolio, &rls_items).unwrap();
+        let list_outcomes = scheduler.run_requests(&portfolio, &list_items).unwrap();
         assert_eq!(rls_outcomes.len(), instances.len());
         for ((inst, rls_out), list_out) in instances.iter().zip(&rls_outcomes).zip(&list_outcomes) {
-            let direct = rls(
-                &inst.clone(),
-                &RlsConfig::new(3.0).with_order(PriorityOrder::BottomLevel),
-            )
-            .unwrap();
+            let direct = rls_in(inst, &RlsConfig::new(3.0), &mut KernelWorkspace::new()).unwrap();
+            let rls_out = rls_out.as_ref().unwrap();
             assert_eq!(rls_out.schedule, direct.schedule, "workers={workers}");
-            assert_eq!(rls_out.marked, direct.marked, "workers={workers}");
             let direct_list = dag_list_schedule(inst, &index_priority(inst.n()));
+            let list_out = list_out.as_ref().unwrap();
             assert_eq!(list_out.schedule, direct_list, "workers={workers}");
         }
     }
@@ -274,7 +282,8 @@ fn paper_guarantees_hold_on_kernel_schedules() {
             stream += 1;
             let inst = workload(family, 90, m, stream);
             for &delta in &[2.5, 3.0, 5.0] {
-                let result = rls(&inst, &RlsConfig::new(delta)).unwrap();
+                let result =
+                    rls_in(&inst, &RlsConfig::new(delta), &mut KernelWorkspace::new()).unwrap();
                 validate_timed(
                     inst.tasks(),
                     m,
@@ -305,7 +314,7 @@ fn paper_guarantees_hold_on_kernel_schedules() {
 }
 
 /// The tri-objective path (Corollary 4) rides on the kernel through
-/// `rls_independent`; its schedule must match the naive oracle's on the
+/// `rls_independent_in`; its schedule must match the naive oracle's on the
 /// independent-task relaxation with SPT tie-breaking.
 #[test]
 fn tri_objective_matches_naive_oracle() {
@@ -316,7 +325,7 @@ fn tri_objective_matches_naive_oracle() {
         &mut seeded_rng(derive_seed(DIFF_SEED, 888)),
     );
     for &delta in &[2.5, 3.0, 4.0] {
-        let tri = tri_objective_rls(&inst, delta).unwrap();
+        let tri = tri_objective_rls_in(&inst, delta, &mut KernelWorkspace::new()).unwrap();
         let graph = sws_dag::TaskGraph::new(inst.tasks().clone());
         let dag = DagInstance::new(graph, inst.m()).unwrap();
         let slow = naive::rls(&dag, &RlsConfig::spt(delta)).unwrap();
@@ -340,12 +349,13 @@ fn parallel_sweeps_match_serial_recomputation() {
     assert!(!curve.is_empty());
     for p in &curve {
         // Each point must be reproduced by a direct serial run at its ∆.
-        let direct = rls(
+        let direct = rls_in(
             &dag,
             &RlsConfig {
                 delta: p.delta,
                 order: PriorityOrder::Index,
             },
+            &mut KernelWorkspace::new(),
         )
         .unwrap();
         assert_eq!(p.schedule, direct.schedule, "∆={}", p.delta);
@@ -376,7 +386,7 @@ fn kernel_handles_10k_tasks_within_ci_budget() {
     assert!(inst.n() >= 9_000, "generator produced {} tasks", inst.n());
 
     let t0 = Instant::now();
-    let result = rls(&inst, &RlsConfig::new(3.0)).unwrap();
+    let result = rls_in(&inst, &RlsConfig::new(3.0), &mut KernelWorkspace::new()).unwrap();
     let rls_elapsed = t0.elapsed();
 
     let t1 = Instant::now();

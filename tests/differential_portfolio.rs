@@ -9,13 +9,12 @@
 //! 3. [`Portfolio::solve`] is bit-identical to calling the selected
 //!    backend directly (including through a shared [`KernelWorkspace`]
 //!    stream), and the kernel-backend path is bit-identical to the
-//!    pre-refactor `rls`/`rls_in`/`sbo`/`tri_objective_rls` entry
-//!    points.
+//!    direct `rls_in`/`sbo`/`tri_objective_rls_in` entry points.
 
 use sws_core::portfolio::Portfolio;
-use sws_core::rls::{rls, rls_in, RlsConfig};
+use sws_core::rls::{rls_in, RlsConfig};
 use sws_core::sbo::{sbo, InnerAlgorithm, SboConfig};
-use sws_core::tri::tri_objective_rls;
+use sws_core::tri::tri_objective_rls_in;
 use sws_dag::DagInstance;
 use sws_exact::branch_bound::{optimal_cmax, optimal_mmax};
 use sws_listsched::KernelWorkspace;
@@ -336,7 +335,7 @@ fn kernel_backend_path_matches_pre_refactor_entry_points() {
                 assert_eq!(portfolio.selected(&req).unwrap(), BackendId::KernelRls);
                 let solution = portfolio.solve(&req).unwrap();
                 let config = RlsConfig::new(delta);
-                let direct = rls(&inst, &config).unwrap();
+                let direct = rls_in(&inst, &config, &mut KernelWorkspace::new()).unwrap();
                 assert_eq!(
                     solution.schedule,
                     direct.schedule,
@@ -369,7 +368,7 @@ fn kernel_backend_path_matches_pre_refactor_entry_points() {
     for delta in [2.5, 4.0] {
         let req = SolveRequest::independent(&ind, ObjectiveMode::TriObjective { delta });
         let solution = portfolio.solve(&req).unwrap();
-        let direct = tri_objective_rls(&ind, delta).unwrap();
+        let direct = tri_objective_rls_in(&ind, delta, &mut KernelWorkspace::new()).unwrap();
         assert_eq!(solution.schedule, direct.rls.schedule, "tri ∆={delta}");
         assert_eq!(solution.sum_ci, Some(direct.point.sum_ci));
     }

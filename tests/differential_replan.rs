@@ -124,7 +124,7 @@ fn drive_stream(
     ctx: &str,
 ) -> Solution {
     let mut engine = ReplanEngine::open(csr, m, cap).unwrap();
-    let mut last = engine.solution();
+    let mut last = engine.solution().unwrap();
     for (k, delta) in stream.iter().enumerate() {
         let warm = engine
             .apply(delta)

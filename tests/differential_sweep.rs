@@ -14,9 +14,10 @@
 use sws_core::pareto_sweep::{
     delta_grid, rls_sweep, rls_sweep_cold, sbo_sweep, sbo_sweep_cold, SweepEngine, SweepProvenance,
 };
-use sws_core::rls::{rls, PriorityOrder, RlsConfig, RlsEngine};
+use sws_core::rls::{rls_in, PriorityOrder, RlsConfig, RlsEngine};
 use sws_core::sbo::InnerAlgorithm;
 use sws_dag::DagInstance;
+use sws_listsched::KernelWorkspace;
 use sws_workloads::dagsets::{dag_workload, DagFamily};
 use sws_workloads::random::random_instance;
 use sws_workloads::rng::{derive_seed, seeded_rng};
@@ -110,7 +111,7 @@ fn warm_chains_match_cold_runs_and_amortize_replay() {
     let mut replayed_total = 0usize;
     for &delta in &grid {
         let warm = engine.run(delta).unwrap();
-        let cold = rls(&inst, &RlsConfig::new(delta)).unwrap();
+        let cold = rls_in(&inst, &RlsConfig::new(delta), &mut KernelWorkspace::new()).unwrap();
         assert_eq!(warm.schedule, cold.schedule, "∆={delta}");
         assert_eq!(warm.marked, cold.marked, "∆={delta}");
         replayed_total += engine.replayed_rounds().unwrap();

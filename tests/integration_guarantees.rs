@@ -10,12 +10,13 @@ use proptest::prelude::*;
 
 use sws_core::bounds::violates_impossibility;
 use sws_core::constrained::{solve_with_memory_budget, ConstrainedOutcome};
-use sws_core::rls::{lemma4_marked_bound, rls, rls_independent, RlsConfig};
+use sws_core::rls::{lemma4_marked_bound, rls_in, rls_independent_in, PriorityOrder, RlsConfig};
 use sws_core::sbo::{sbo, sbo_guarantee, InnerAlgorithm, SboConfig};
-use sws_core::tri::tri_objective_rls;
+use sws_core::tri::tri_objective_rls_in;
 use sws_dag::{DagInstance, TaskGraph};
 use sws_exact::branch_bound::optimal_point;
 use sws_listsched::spt::optimal_sum_completion;
+use sws_listsched::KernelWorkspace;
 use sws_model::bounds::{cmax_lower_bound, cmax_lower_bound_prec, mmax_lower_bound};
 use sws_model::objectives::ObjectivePoint;
 use sws_model::task::TaskSet;
@@ -103,7 +104,7 @@ proptest! {
         inst in arb_dag(25, 6),
         delta in 2.05f64..8.0,
     ) {
-        let result = rls(&inst, &RlsConfig::new(delta)).unwrap();
+        let result = rls_in(&inst, &RlsConfig::new(delta), &mut KernelWorkspace::new()).unwrap();
         validate_timed(
             inst.tasks(),
             inst.m(),
@@ -130,7 +131,7 @@ proptest! {
         inst in arb_instance(30, 5),
         delta in 2.1f64..6.0,
     ) {
-        let result = tri_objective_rls(&inst, delta).unwrap();
+        let result = tri_objective_rls_in(&inst, delta, &mut KernelWorkspace::new()).unwrap();
         let (gc, gm, gs) = result.guarantee;
         let lb_c = cmax_lower_bound(inst.tasks(), inst.m());
         let lb_m = mmax_lower_bound(inst.tasks(), inst.m());
@@ -141,16 +142,19 @@ proptest! {
             "ΣCi {} > {} * {}", result.point.sum_ci, gs, opt_sum);
     }
 
-    /// The independent-task RLS path and the DAG path agree on instances
-    /// without edges.
+    /// The independent-task RLS path (an edge-free CSR built from the
+    /// task set) and the DAG path agree on instances without edges,
+    /// under every priority order.
     #[test]
     fn rls_independent_equals_rls_on_edgeless_graphs(
         inst in arb_instance(20, 4),
         delta in 2.1f64..5.0,
+        order in 0usize..5,
     ) {
-        let a = rls_independent(&inst, &RlsConfig::new(delta)).unwrap();
+        let config = RlsConfig::new(delta).with_order(PriorityOrder::all()[order]);
+        let a = rls_independent_in(&inst, &config, &mut KernelWorkspace::new()).unwrap();
         let dag = DagInstance::new(TaskGraph::new(inst.tasks().clone()), inst.m()).unwrap();
-        let b = rls(&dag, &RlsConfig::new(delta)).unwrap();
+        let b = rls_in(&dag, &config, &mut KernelWorkspace::new()).unwrap();
         prop_assert_eq!(a.schedule, b.schedule);
     }
 

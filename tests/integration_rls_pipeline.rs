@@ -3,13 +3,15 @@
 //! feasibility re-check and the experiment harness.
 
 use sws_bench::e2_rls::{run as run_e2, E2Config};
-use sws_core::pipeline::evaluate_rls;
-use sws_core::rls::{lemma4_marked_bound, rls, rls_independent, PriorityOrder, RlsConfig};
+use sws_core::pipeline::evaluate_solution;
+use sws_core::rls::{lemma4_marked_bound, rls_in, rls_independent_in, PriorityOrder, RlsConfig};
 use sws_dag::{DagInstance, TaskGraph};
 use sws_listsched::dag_list_schedule;
 use sws_listsched::priority::index_priority;
+use sws_listsched::KernelWorkspace;
 use sws_model::bounds::{cmax_lower_bound_prec, mmax_lower_bound};
 use sws_model::objectives::ObjectivePoint;
+use sws_model::solve::{BackendId, BoundReport, ObjectiveMode, SolveRequest};
 use sws_model::validate::validate_timed;
 use sws_model::Instance;
 use sws_simulator::simulate_dag_schedule;
@@ -23,7 +25,8 @@ fn rls_schedules_every_dag_family_feasibly_and_caps_memory() {
     for family in DagFamily::all() {
         let inst = dag_workload(family, 100, 4, TaskDistribution::Bimodal, &mut rng);
         for &delta in &[2.25, 3.0, 6.0] {
-            let result = rls(&inst, &RlsConfig::new(delta)).unwrap();
+            let result =
+                rls_in(&inst, &RlsConfig::new(delta), &mut KernelWorkspace::new()).unwrap();
             validate_timed(
                 inst.tasks(),
                 inst.m(),
@@ -52,7 +55,8 @@ fn corollary_2_and_3_hold_across_the_grid() {
             let lb_c = cmax_lower_bound_prec(inst.tasks(), m, cp);
             let lb_m = mmax_lower_bound(inst.tasks(), m);
             for &delta in &[2.5, 3.0, 4.0] {
-                let result = rls(&inst, &RlsConfig::new(delta)).unwrap();
+                let result =
+                    rls_in(&inst, &RlsConfig::new(delta), &mut KernelWorkspace::new()).unwrap();
                 let point = ObjectivePoint::of_timed_tasks(inst.tasks(), &result.schedule);
                 let (gc, gm) = result.guarantee;
                 assert!(
@@ -87,7 +91,7 @@ fn restriction_costs_at_most_the_proven_factor_over_the_unrestricted_baseline() 
     let baseline = dag_list_schedule(&inst, &index_priority(inst.n()));
     let baseline_cmax = baseline.cmax(inst.tasks());
     for &delta in &[2.25, 3.0, 10.0] {
-        let result = rls(&inst, &RlsConfig::new(delta)).unwrap();
+        let result = rls_in(&inst, &RlsConfig::new(delta), &mut KernelWorkspace::new()).unwrap();
         let cmax = result.schedule.cmax(inst.tasks());
         let (gc, _) = result.guarantee;
         // Both are ≥ LB, and RLS is within gc·LB, so it is within
@@ -95,7 +99,7 @@ fn restriction_costs_at_most_the_proven_factor_over_the_unrestricted_baseline() 
         assert!(cmax <= gc * baseline_cmax + 1e-9, "∆ = {delta}");
     }
     // With an effectively unlimited cap the two coincide.
-    let unlimited = rls(&inst, &RlsConfig::new(1e9)).unwrap();
+    let unlimited = rls_in(&inst, &RlsConfig::new(1e9), &mut KernelWorkspace::new()).unwrap();
     assert!((unlimited.schedule.cmax(inst.tasks()) - baseline_cmax).abs() < 1e-9);
 }
 
@@ -107,11 +111,14 @@ fn independent_tasks_are_a_special_case_of_the_dag_path() {
         3,
     )
     .unwrap();
-    let via_instance = rls_independent(&inst, &RlsConfig::new(2.5)).unwrap();
     let dag = DagInstance::new(TaskGraph::new(inst.tasks().clone()), 3).unwrap();
-    let via_dag = rls(&dag, &RlsConfig::new(2.5)).unwrap();
-    assert_eq!(via_instance.schedule, via_dag.schedule);
-    assert_eq!(via_instance.marked, via_dag.marked);
+    for order in PriorityOrder::all() {
+        let config = RlsConfig::new(2.5).with_order(order);
+        let via_instance = rls_independent_in(&inst, &config, &mut KernelWorkspace::new()).unwrap();
+        let via_dag = rls_in(&dag, &config, &mut KernelWorkspace::new()).unwrap();
+        assert_eq!(via_instance.schedule, via_dag.schedule, "{}", order.label());
+        assert_eq!(via_instance.marked, via_dag.marked, "{}", order.label());
+    }
 }
 
 #[test]
@@ -124,15 +131,21 @@ fn all_priority_orders_meet_the_same_guarantees() {
         TaskDistribution::Correlated,
         &mut rng,
     );
+    let req = SolveRequest::precedence(&inst, ObjectiveMode::BiObjective { delta: 3.0 });
+    let bounds =
+        BoundReport::with_critical_path(inst.tasks(), inst.m(), inst.critical_path_length());
     for order in PriorityOrder::all() {
-        let (report, result) = evaluate_rls(&inst, &RlsConfig::new(3.0).with_order(order)).unwrap();
+        let config = RlsConfig::new(3.0).with_order(order);
+        let result = rls_in(&inst, &config, &mut KernelWorkspace::new()).unwrap();
+        assert!(result.marked_count() <= result.marked_bound());
+        let solution = result.into_solution(inst.tasks(), BackendId::KernelRls, bounds, false);
+        let report = evaluate_solution(&req, &solution).unwrap();
         assert!(
             report.within_guarantee(),
             "order {}: {}",
             order.label(),
             report.summary_line()
         );
-        assert!(result.marked_count() <= result.marked_bound());
     }
 }
 

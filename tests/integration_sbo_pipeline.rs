@@ -5,10 +5,11 @@
 //! (`sws-bench`).
 
 use sws_bench::e1_sbo::{run as run_e1, E1Config};
-use sws_core::pipeline::evaluate_sbo;
+use sws_core::pipeline::evaluate_solution;
 use sws_core::sbo::{corollary1_guarantee, sbo, InnerAlgorithm, SboConfig};
 use sws_exact::branch_bound::{optimal_cmax, optimal_mmax};
 use sws_model::objectives::ObjectivePoint;
+use sws_model::solve::{ObjectiveMode, SolveRequest};
 use sws_model::validate::validate_assignment;
 use sws_model::Instance;
 use sws_simulator::simulate_assignment;
@@ -132,7 +133,10 @@ fn the_e1_experiment_harness_reports_guarantees_respected() {
     assert!(rows.iter().all(|r| r.within_guarantee));
     // The evaluation pipeline agrees with a direct call on one cell.
     let inst = anti_correlated(12, 2, 99);
-    let (report, result) = evaluate_sbo(&inst, &SboConfig::new(1.0, InnerAlgorithm::Lpt)).unwrap();
-    assert_eq!(report.point, result.objective(&inst));
+    let result = sbo(&inst, &SboConfig::new(1.0, InnerAlgorithm::Lpt)).unwrap();
+    let point = result.objective(&inst);
+    let req = SolveRequest::independent(&inst, ObjectiveMode::BiObjective { delta: 1.0 });
+    let report = evaluate_solution(&req, &result.into_solution(&inst)).unwrap();
+    assert_eq!(report.point, point);
     assert!(report.within_guarantee());
 }

@@ -3,12 +3,12 @@
 //! must replay cleanly, and the simulator must agree with the analytic
 //! objective evaluation while rejecting corrupted schedules.
 
-use sws_core::rls::{rls, RlsConfig};
+use sws_core::rls::{rls_in, RlsConfig};
 use sws_core::sbo::{sbo, InnerAlgorithm, SboConfig};
-use sws_core::tri::tri_objective_rls;
+use sws_core::tri::tri_objective_rls_in;
 use sws_dag::DagInstance;
 use sws_listsched::priority::hlf_priority;
-use sws_listsched::{dag_list_schedule, graham_cmax, lpt_cmax, spt_schedule};
+use sws_listsched::{dag_list_schedule, graham_cmax, lpt_cmax, spt_schedule, KernelWorkspace};
 use sws_model::objectives::ObjectivePoint;
 use sws_model::schedule::TimedSchedule;
 use sws_model::Instance;
@@ -54,7 +54,7 @@ fn timed_schedules_report_sum_completion_consistently() {
     let sim = simulate_timed(&inst, &spt, None).unwrap();
     assert!((sim.sum_completion - spt.sum_completion(inst.tasks())).abs() < 1e-9);
 
-    let tri = tri_objective_rls(&inst, 3.0).unwrap();
+    let tri = tri_objective_rls_in(&inst, 3.0, &mut KernelWorkspace::new()).unwrap();
     let sim = simulate_timed(&inst, &tri.rls.schedule, Some(tri.rls.memory_cap)).unwrap();
     assert!((sim.sum_completion - tri.point.sum_ci).abs() < 1e-9);
     assert!((sim.peak_memory - tri.point.mmax).abs() < 1e-9);
@@ -66,7 +66,7 @@ fn dag_schedules_replay_with_precedence_checking() {
     for family in [DagFamily::Lu, DagFamily::Fft, DagFamily::Erdos] {
         let inst = dag_workload(family, 80, 4, TaskDistribution::Uncorrelated, &mut rng);
         let graham = dag_list_schedule(&inst, &hlf_priority(inst.graph()));
-        let restricted = rls(&inst, &RlsConfig::new(3.0)).unwrap();
+        let restricted = rls_in(&inst, &RlsConfig::new(3.0), &mut KernelWorkspace::new()).unwrap();
         for (label, sched) in [("graham", &graham), ("rls", &restricted.schedule)] {
             let sim = simulate_dag_schedule(&inst, sched, None)
                 .unwrap_or_else(|e| panic!("{}/{label}: {e}", family.label()));
