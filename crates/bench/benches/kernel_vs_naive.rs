@@ -12,6 +12,11 @@
 //!   the steady-state cost of one schedule in a sweep or batch;
 //! * `dag_list_kernel_vs_naive` — unrestricted DAG list scheduling,
 //!   same serving-path convention (`dag_list_schedule_csr`);
+//! * in both groups, `kernel/forkjoin-N` and `kernel/gauss-N` rows
+//!   (`n ≈ 250` and `1 000`, `m = 8`): the fork-join and
+//!   Gaussian-elimination families, whose forks release many children
+//!   with bit-identical ready times — the kernel's tie-group path,
+//!   which layered DAGs barely exercise;
 //! * `sweep_scaling` — the parallelized `rls_sweep` at 1 thread vs. all
 //!   cores (the ∆ grid fans out across the rayon pool; one chunk runs
 //!   inline without dispatch);
@@ -66,6 +71,20 @@ fn layered(n: usize, m: usize, seed: u64) -> DagInstance {
     )
 }
 
+/// The tied-family instances of the `forkjoin-N`/`gauss-N` rows, with
+/// their row ids.
+fn tied(seed: u64) -> Vec<(String, DagInstance)> {
+    let mut rows = Vec::new();
+    for family in [DagFamily::ForkJoin, DagFamily::GaussianElimination] {
+        for n in [250usize, 1_000] {
+            let rng = &mut seeded_rng(seed + n as u64);
+            let inst = dag_workload(family, n, 8, TaskDistribution::Uncorrelated, rng);
+            rows.push((format!("{}-{n}", family.label()), inst));
+        }
+    }
+    rows
+}
+
 fn bench_rls(c: &mut Criterion) {
     let mut group = c.benchmark_group("rls_kernel_vs_naive");
     group.sample_size(if quick() { 15 } else { 10 });
@@ -83,6 +102,13 @@ fn bench_rls(c: &mut Criterion) {
                 b.iter(|| black_box(naive::rls(black_box(inst), &cfg).unwrap()))
             });
         }
+    }
+    for (id, inst) in tied(0xBE5C) {
+        group.throughput(Throughput::Elements(inst.n() as u64));
+        let mut engine = RlsEngine::new(&inst, PriorityOrder::Index);
+        group.bench_with_input(BenchmarkId::new("kernel", id), &inst, |b, _inst| {
+            b.iter(|| black_box(engine.run_detached(3.0).unwrap()))
+        });
     }
 
     // The acceptance point of the rework: 10k tasks on 32 processors.
@@ -123,6 +149,15 @@ fn bench_dag_list(c: &mut Criterion) {
                 b.iter(|| black_box(listsched_naive::dag_list_schedule(black_box(inst), &rank)))
             });
         }
+    }
+    for (id, inst) in tied(0xDA6) {
+        let rank = hlf_priority(inst.graph());
+        let csr = inst.csr();
+        let mut ws = KernelWorkspace::with_capacity(inst.n(), inst.m());
+        group.throughput(Throughput::Elements(inst.n() as u64));
+        group.bench_with_input(BenchmarkId::new("kernel", id), &inst, |b, inst| {
+            b.iter(|| black_box(dag_list_schedule_csr(&csr, inst.m(), &rank, &mut ws)))
+        });
     }
 
     group.finish();

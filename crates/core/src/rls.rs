@@ -27,10 +27,11 @@
 //! independent tasks and [`RlsEngine::run_detached`] — goes through one
 //! private routine: the shared scheduling kernel
 //! (`sws_listsched::kernel`) with the memory restriction supplied as an
-//! admissibility predicate. That costs `O((n + E)·log n + n·log m)` as
-//! long as memory rejections on the least-loaded processor stay rare
-//! (they are, on every measured workload; the kernel's module docs state
-//! the worst case) instead of the original `O(n²·m)` scan, which
+//! admissibility predicate. That costs `O((n + E)·log n + n·log m)`, plus
+//! `O(log n)` per pending tie group a contested round pops, as long as
+//! memory rejections on the least-loaded processor stay rare (they are,
+//! on every measured workload; the kernel's module docs state both
+//! costs and the worst case) instead of the original `O(n²·m)` scan, which
 //! survives as the differential oracle [`naive::rls`]. Warm ∆ chains
 //! resume a recorded run instead ([`RlsEngine::run`]); one-off requests
 //! go through the portfolio (`crate::portfolio`).
@@ -107,11 +108,11 @@ impl PriorityOrder {
     }
 
     /// [`PriorityOrder::rank`] from a prebuilt CSR mirror: cost-keyed
-    /// orders sort by the instance's quantized `u32` cost ranks instead
-    /// of `f64` comparators (same permutation, cheaper sort — see
+    /// orders sort the cost arrays' bit patterns instead of calling
+    /// `f64` comparators (same permutation, cheaper sort — see
     /// [`sws_listsched::priority::spt_priority_csr`]). Bottom-level
-    /// priorities derive summed levels, which the cost table cannot
-    /// represent, so that arm still walks the nested graph.
+    /// priorities derive summed levels from the graph, so that arm
+    /// still walks the nested graph.
     pub fn rank_csr(&self, graph: &TaskGraph, csr: &CsrDag) -> PriorityRank {
         match self {
             PriorityOrder::BottomLevel => hlf_priority(graph),
@@ -538,12 +539,20 @@ pub mod naive {
                     // Mathematically impossible for ∆ > 2 (the Lemma 4
                     // counting argument), but guard against degenerate
                     // floating-point inputs rather than looping forever.
+                    // The error names the fullest processor (lowest
+                    // index on ties), as the kernel's does.
                     None => {
+                        let mut proc = 0;
+                        for q in 1..m {
+                            if exceeds(memsize[q], memsize[proc]) {
+                                proc = q;
+                            }
+                        }
                         return Err(ModelError::MemoryExceeded {
-                            proc: 0,
-                            used: memsize.iter().cloned().fold(0.0, f64::max) + s_i,
+                            proc,
+                            used: memsize[proc] + s_i,
                             capacity: cap,
-                        })
+                        });
                     }
                 };
                 // "for analysis only": mark every processor that was less

@@ -24,7 +24,6 @@
 //! one over the nested-`Vec` form.
 
 use crate::graph::TaskGraph;
-use crate::keys::KeyTable;
 use sws_model::task::TaskSet;
 use sws_model::validate::CsrPreds;
 
@@ -43,28 +42,12 @@ pub struct CsrDag {
     proc_time: Vec<f64>,
     /// Storage requirement `s_i` per task.
     mem_size: Vec<f64>,
-    /// Order-preserving rank table over the pooled distinct cost values
-    /// (`p` and `s` together); `None` when the instance has more
-    /// distinct values than fit in `u32` ranks — consumers then fall
-    /// back to the `f64` comparators.
-    cost_keys: Option<KeyTable>,
-    /// `p_rank[i]` = `cost_keys.rank_of(p_i)`; empty when saturated.
-    p_rank: Vec<u32>,
-    /// `s_rank[i]` = `cost_keys.rank_of(s_i)`; empty when saturated.
-    s_rank: Vec<u32>,
 }
 
 impl CsrDag {
     /// Flattens a [`TaskGraph`] into CSR form. Edge order within each
     /// adjacency list is preserved.
     pub fn from_graph(graph: &TaskGraph) -> Self {
-        Self::from_graph_with_key_limit(graph, KeyTable::DEFAULT_LIMIT)
-    }
-
-    /// [`CsrDag::from_graph`] with an explicit distinct-cost-value limit
-    /// for the quantization table — tests lower it to exercise the
-    /// saturated (`cost_keys = None`) fallback without 2³² floats.
-    pub fn from_graph_with_key_limit(graph: &TaskGraph, key_limit: usize) -> Self {
         let n = graph.n();
         assert!(
             n < u32::MAX as usize && graph.edge_count() <= u32::MAX as usize,
@@ -95,21 +78,13 @@ impl CsrDag {
             succ_edges,
             proc_time,
             mem_size,
-            cost_keys: None,
-            p_rank: Vec::new(),
-            s_rank: Vec::new(),
         }
-        .quantized(key_limit)
     }
 
     /// The edge-free CSR of independent tasks: equal to
     /// `CsrDag::from_graph(&TaskGraph::new(tasks.clone()))`, without
     /// cloning the task set into a nested graph first.
     pub fn edge_free(tasks: &TaskSet) -> Self {
-        Self::edge_free_with_key_limit(tasks, KeyTable::DEFAULT_LIMIT)
-    }
-
-    fn edge_free_with_key_limit(tasks: &TaskSet, key_limit: usize) -> Self {
         let n = tasks.len();
         assert!(n < u32::MAX as usize, "CSR representation uses u32 indices");
         let offsets = vec![0u32; n + 1];
@@ -121,29 +96,7 @@ impl CsrDag {
             succ_edges: Vec::new(),
             proc_time: tasks.as_slice().iter().map(|t| t.p).collect(),
             mem_size: tasks.as_slice().iter().map(|t| t.s).collect(),
-            cost_keys: None,
-            p_rank: Vec::new(),
-            s_rank: Vec::new(),
         }
-        .quantized(key_limit)
-    }
-
-    /// Builds the quantization table over the pooled `p` and `s` values
-    /// and the per-task ranks, or leaves both empty when the values
-    /// saturate `key_limit`.
-    fn quantized(mut self, key_limit: usize) -> Self {
-        let costs = self.proc_time.iter().chain(&self.mem_size).copied();
-        self.cost_keys = KeyTable::build_with_limit(costs, key_limit);
-        if let Some(table) = &self.cost_keys {
-            let rank = |v: f64| {
-                table
-                    .rank_of(v)
-                    .expect("the table was built over exactly these values")
-            };
-            self.p_rank = self.proc_time.iter().map(|&p| rank(p)).collect();
-            self.s_rank = self.mem_size.iter().map(|&s| rank(s)).collect();
-        }
-        self
     }
 
     /// Number of tasks.
@@ -206,29 +159,6 @@ impl CsrDag {
         &self.mem_size
     }
 
-    /// The quantization table over the instance's distinct cost values,
-    /// or `None` when the instance saturated it (more distinct values
-    /// than `u32` ranks — impossible below 2³² tasks in practice, but
-    /// the fallback is kept honest by tests with a lowered limit).
-    #[inline]
-    pub fn cost_keys(&self) -> Option<&KeyTable> {
-        self.cost_keys.as_ref()
-    }
-
-    /// Per-task `u32` ranks of the processing times (`rank order` =
-    /// `f64 order`), or `None` when the table is saturated.
-    #[inline]
-    pub fn p_ranks(&self) -> Option<&[u32]> {
-        self.cost_keys.as_ref().map(|_| self.p_rank.as_slice())
-    }
-
-    /// Per-task `u32` ranks of the storage requirements, or `None` when
-    /// the table is saturated.
-    #[inline]
-    pub fn s_ranks(&self) -> Option<&[u32]> {
-        self.cost_keys.as_ref().map(|_| self.s_rank.as_slice())
-    }
-
     /// The predecessor lists as the borrowed CSR view accepted by
     /// [`sws_model::validate::validate_timed_preds`] — validation without
     /// materializing nested `Vec<Vec<usize>>` lists.
@@ -237,42 +167,14 @@ impl CsrDag {
         CsrPreds::new(&self.pred_offsets, &self.pred_edges)
     }
 
-    /// Drops to the saturated exact-`f64` mode: the quantization table
-    /// is discarded whole rather than renumbered (lossy re-bucketing is
-    /// forbidden — see [`crate::keys`]). Consumers fall back to the
-    /// `f64` comparators, which produce bit-identical schedules.
-    fn saturate_keys(&mut self) {
-        self.cost_keys = None;
-        self.p_rank = Vec::new();
-        self.s_rank = Vec::new();
-    }
-
-    /// Re-ranks one mutated cost value through
-    /// [`KeyTable::rank_or_append`], saturating when the value breaks
-    /// the existing rank order. `write` stores the fresh rank (assign
-    /// for recosts, push for arrivals).
-    fn requantize(&mut self, v: f64, write: impl FnOnce(&mut Self, u32)) {
-        let Some(table) = &mut self.cost_keys else {
-            return;
-        };
-        match table.rank_or_append(v) {
-            Some(r) => write(self, r),
-            None => self.saturate_keys(),
-        }
-    }
-
     /// In-place `Recost` (see [`crate::delta::CsrDelta`]): rewrites the
-    /// cost arrays and maintains the quantized ranks. The key table may
-    /// keep the superseded value — a superset table ranks every live
-    /// value correctly, so nothing is rebuilt.
+    /// cost arrays.
     pub(crate) fn recost(&mut self, i: usize, p: Option<f64>, s: Option<f64>) {
         if let Some(v) = p {
             self.proc_time[i] = v;
-            self.requantize(v, |d, r| d.p_rank[i] = r);
         }
         if let Some(v) = s {
             self.mem_size[i] = v;
-            self.requantize(v, |d, r| d.s_rank[i] = r);
         }
     }
 
@@ -313,8 +215,6 @@ impl CsrDag {
         self.proc_time.push(p);
         self.mem_size.push(s);
         self.n = j + 1;
-        self.requantize(p, |d, r| d.p_rank.push(r));
-        self.requantize(s, |d, r| d.s_rank.push(r));
     }
 }
 
@@ -359,40 +259,6 @@ mod tests {
         assert_eq!(csr.edge_count(), 0);
     }
 
-    #[test]
-    fn cost_ranks_mirror_the_f64_order() {
-        let g = diamond();
-        let csr = CsrDag::from_graph(&g);
-        let table = csr.cost_keys().expect("tiny instance never saturates");
-        let p_rank = csr.p_ranks().unwrap();
-        let s_rank = csr.s_ranks().unwrap();
-        for i in 0..g.n() {
-            assert_eq!(table.value_of(p_rank[i]), csr.p(i));
-            assert_eq!(table.value_of(s_rank[i]), csr.s(i));
-            for j in 0..g.n() {
-                assert_eq!(p_rank[i] < p_rank[j], csr.p(i) < csr.p(j));
-                assert_eq!(s_rank[i] < s_rank[j], csr.s(i) < csr.s(j));
-            }
-        }
-    }
-
-    #[test]
-    fn saturated_key_limit_disables_quantization_only() {
-        let g = diamond();
-        let full = CsrDag::from_graph(&g);
-        let capped = CsrDag::from_graph_with_key_limit(&g, 2);
-        assert!(capped.cost_keys().is_none());
-        assert!(capped.p_ranks().is_none());
-        assert!(capped.s_ranks().is_none());
-        // The structural mirror is untouched by the refusal.
-        for i in 0..g.n() {
-            assert_eq!(capped.preds(i), full.preds(i));
-            assert_eq!(capped.succs(i), full.succs(i));
-            assert_eq!(capped.p(i), full.p(i));
-            assert_eq!(capped.s(i), full.s(i));
-        }
-    }
-
     fn assert_same_fields(a: &CsrDag, b: &CsrDag) {
         assert_eq!(a.n, b.n);
         assert_eq!(a.pred_offsets, b.pred_offsets);
@@ -401,9 +267,6 @@ mod tests {
         assert_eq!(a.succ_edges, b.succ_edges);
         assert_eq!(a.proc_time, b.proc_time);
         assert_eq!(a.mem_size, b.mem_size);
-        assert_eq!(a.cost_keys, b.cost_keys);
-        assert_eq!(a.p_rank, b.p_rank);
-        assert_eq!(a.s_rank, b.s_rank);
         assert_eq!(a, b);
     }
 
@@ -416,12 +279,6 @@ mod tests {
             let graph = TaskGraph::new(tasks.clone());
             let csr = CsrDag::edge_free(&tasks);
             assert_same_fields(&csr, &CsrDag::from_graph(&graph));
-            assert!(csr.cost_keys().is_some());
-            // Six distinct cost values cannot fit two ranks: both
-            // constructors refuse the table the same way.
-            let capped = CsrDag::edge_free_with_key_limit(&tasks, 2);
-            assert_same_fields(&capped, &CsrDag::from_graph_with_key_limit(&graph, 2));
-            assert_eq!(capped.cost_keys().is_none(), !tasks.is_empty());
         }
     }
 

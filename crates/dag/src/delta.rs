@@ -18,15 +18,8 @@
 //!   position a [`TaskGraph`](crate::TaskGraph) built with the edge
 //!   appended last would produce, so a replan and a from-scratch solve
 //!   of the mutated instance see identical edge orders.
-//! * **Quantized cost keys**: new cost values go through
-//!   [`KeyTable::rank_or_append`](crate::KeyTable::rank_or_append) —
-//!   reuse an existing rank, or append when the value is a new maximum
-//!   (no existing rank shifts). A value that would land *between*
-//!   existing ranks drops the whole instance to the saturated
-//!   exact-`f64` mode instead (`cost_keys = None`), mirroring the
-//!   construction-time refusal: quantization stays total or absent,
-//!   never lossy, so the bit-identity contract between the quantized
-//!   and saturated paths survives every mutation.
+//! * **Costs**: a re-estimate overwrites the task's entries in the cost
+//!   arrays and an arrival appends its own, bit for bit as given.
 //!
 //! `CompleteTask` deliberately mutates nothing: completion pins a task
 //! against future `Recost`/re-planning (enforced by the engines that
@@ -140,8 +133,8 @@ impl CsrDelta {
 impl CsrDag {
     /// Applies a delta **in place**, maintaining every CSR invariant
     /// (see the module docs). Arrivals cost `O(n + E)` for the
-    /// successor-list splice; recosts cost `O(log k)` for the key-table
-    /// maintenance; completions cost nothing.
+    /// successor-list splice; recosts cost `O(1)`; completions cost
+    /// nothing.
     ///
     /// On error the instance is unchanged.
     pub fn apply_delta(&mut self, delta: &CsrDelta) -> Result<(), ModelError> {
@@ -203,41 +196,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recost_with_existing_and_new_max_values_stays_quantized() {
-        let mut csr = diamond_graph().csr();
-        assert!(csr.cost_keys().is_some());
-        // 3.0 is already tabled; 99.0 is a new maximum: both keep ranks.
-        csr.apply_delta(&CsrDelta::Recost {
-            task: 0,
-            p: Some(3.0),
-            s: Some(99.0),
-        })
-        .unwrap();
-        assert!(csr.cost_keys().is_some());
-        let table = csr.cost_keys().unwrap();
-        let pr = csr.p_ranks().unwrap();
-        let sr = csr.s_ranks().unwrap();
-        assert_eq!(table.value_of(pr[0]).to_bits(), 3.0f64.to_bits());
-        assert_eq!(table.value_of(sr[0]).to_bits(), 99.0f64.to_bits());
-    }
-
-    #[test]
-    fn rank_breaking_recost_saturates_instead_of_renumbering() {
-        let mut csr = diamond_graph().csr();
-        assert!(csr.cost_keys().is_some());
-        // 2.5 falls between tabled values: quantization must refuse.
-        csr.apply_delta(&CsrDelta::Recost {
-            task: 1,
-            p: Some(2.5),
-            s: None,
-        })
-        .unwrap();
-        assert!(csr.cost_keys().is_none());
-        assert!(csr.p_ranks().is_none());
-        assert_eq!(csr.p(1), 2.5);
-    }
-
+    /// A `-0.0` cost is stored as given, exactly as construction
+    /// stores it; consumers that order costs fold it onto `0.0`.
     #[test]
     fn negative_zero_storage_is_normalized_like_construction() {
         let mut csr = diamond_graph().csr();
@@ -247,10 +207,6 @@ mod tests {
             s: -0.0,
         })
         .unwrap();
-        // -0.0 is not in the table, but +0.0 normalization makes it a
-        // candidate: it is *below* every tabled value, so it saturates
-        // (not a new maximum) — and the stored value is preserved.
-        assert!(csr.cost_keys().is_none());
         assert_eq!(csr.s(4).to_bits(), (-0.0f64).to_bits());
     }
 

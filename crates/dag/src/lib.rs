@@ -40,14 +40,12 @@ pub mod csr;
 pub mod delta;
 pub mod generators;
 pub mod graph;
-pub mod keys;
 pub mod levels;
 pub mod topo;
 
 pub use csr::CsrDag;
 pub use delta::CsrDelta;
 pub use graph::{DagInstance, TaskGraph};
-pub use keys::KeyTable;
 
 /// Frequently used items.
 pub mod prelude {

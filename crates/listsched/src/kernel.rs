@@ -7,14 +7,29 @@
 //! loaded *admissible* processor, breaking approximate start-time ties by
 //! a priority rank. The naive implementations rescan every unscheduled
 //! task and every processor each round, which costs `O(n²·m)`; this
-//! module computes the same schedules event-drivenly in
-//! `O((n + E)·log n + n·log m)` when the admissibility predicate accepts
-//! the least loaded processor (always true for plain Graham, and true
-//! for RLS∆ except while a memory-saturated processor sits at the load
-//! minimum — rounds where that happens re-probe the rejected runnable
-//! prefix, degrading towards the naive cost in the worst case but
-//! staying negligible on every measured workload; see
-//! docs/PERFORMANCE.md):
+//! module computes the same schedules event-drivenly.
+//!
+//! An *uncontested* round — the best-ranked runnable task is admissible
+//! on the least loaded processor and no pending task could start as
+//! early — costs `O(log m)` for the placement plus `O(log n)` per
+//! successor it releases: `O((n + E)·log n + n·log m)` over a run. A
+//! *contested* round also pops, and pushes back, every pending tie group
+//! whose ready time is (approximately) at or below the best start key:
+//! `O(g·log n)` for `g` such groups. A tie group is the set of tasks one
+//! placement released at bit-identical ready times (a fork's children),
+//! so `g` counts release events, not tasks: keyed per task, a fork of
+//! `k` children would cost `O(k·log n)` in each of the up to `m`
+//! contested rounds that run while processors idle below its ready
+//! time. Measured at n ≈ 250 and 1 000 on m = 8 (docs/PERFORMANCE.md):
+//! contested rounds are 0.24–0.47 per task on fork-join, 0.04–0.35 on
+//! Gaussian elimination and at most 0.12 on layered DAGs, and each of
+//! the seven generator families pops at most 1.02 pending entries per
+//! placed task. When the admissibility predicate rejects the least
+//! loaded processor (RLS∆ while a memory-saturated processor sits at the
+//! load minimum) the round also re-probes the rejected runnable prefix,
+//! degrading towards the naive cost in the worst case.
+//!
+//! The machinery:
 //!
 //! * a **ready-task structure** fed by predecessor-completion events
 //!   (tasks enter when their last predecessor is scheduled) split into a
@@ -22,7 +37,8 @@
 //!   the earliest start is the minimum load itself and only the
 //!   quantized priority slot orders the task — one bit per task in a
 //!   three-level hierarchical bitmap) and a ready-time keyed 4-ary
-//!   *pending* heap;
+//!   *pending* heap of tie groups ([`EngineState`] describes how a
+//!   round walks them);
 //! * an **indexed 4-ary min-heap over processor loads** ([`ProcHeap`]) whose
 //!   ordered traversal ([`ProcHeap::probe`]) finds the least loaded
 //!   processor satisfying a pluggable **admissibility predicate**
@@ -89,7 +105,7 @@ use std::sync::Arc;
 use sws_dag::{CsrDag, DagInstance};
 use sws_model::cancel::CancelProbe;
 use sws_model::error::ModelError;
-use sws_model::numeric::{approx_le, at_least, better_candidate, finite_ge, strictly_lt};
+use sws_model::numeric::{approx_le, at_least, better_candidate, exceeds, finite_ge, strictly_lt};
 use sws_model::schedule::TimedSchedule;
 
 use crate::priority::PriorityRank;
@@ -119,12 +135,6 @@ fn rank_task(rank: u32, task: u32) -> u64 {
 #[inline]
 fn task_of(pack: u64) -> u32 {
     pack as u32
-}
-
-/// Rank of a [`rank_task`] pack.
-#[inline]
-fn rank_of(pack: u64) -> u32 {
-    (pack >> 32) as u32
 }
 
 /// Indexed **4-ary** min-heap over processor loads, ordered by
@@ -407,32 +417,45 @@ fn pend_pack(k: u128) -> u64 {
 /// 4-ary implicit min-heap of [`pend_key`] entries — the *pending* side
 /// of the ready structure (tasks whose ready time still exceeds the
 /// minimum load). Entries are unique (the pack carries the task id), so
-/// the pop sequence is determined by the key order alone and swapping
-/// the binary `std` heap for this layout changes nothing observable;
-/// what changes is the constant: half the levels, one integer compare
-/// per level, and all four children of a node in two adjacent cache
-/// lines.
+/// the pop sequence is determined by the key order alone; the 4-ary
+/// layout buys half the levels, one integer compare per level, and all
+/// four children of a node in two adjacent cache lines.
+///
+/// # Tie groups
+///
+/// One entry stands for a **tie group**: the tasks one placement
+/// released with bit-identical ready times (a fork's children), linked
+/// in `(rank, task)` order through [`PredState::next`]. The entry is
+/// the head's key; since every member shares the head's ready time, the
+/// heap orders groups exactly as it would order their members, and a
+/// fork of `k` children costs one entry instead of `k`.
 #[derive(Debug, Default)]
 struct PendingHeap {
     heap: Vec<u128>,
+    /// Pops since the last [`PendingHeap::clear`] (the kernel's
+    /// pending-traffic count, read by the unit tests).
+    pops: u64,
 }
 
 impl Clone for PendingHeap {
     fn clone(&self) -> Self {
         PendingHeap {
             heap: self.heap.clone(),
+            pops: self.pops,
         }
     }
 
     /// Buffer-reusing clone for checkpoint restores.
     fn clone_from(&mut self, source: &Self) {
         self.heap.clone_from(&source.heap);
+        self.pops = source.pops;
     }
 }
 
 impl PendingHeap {
     fn clear(&mut self) {
         self.heap.clear();
+        self.pops = 0;
     }
 
     fn reserve(&mut self, additional: usize) {
@@ -463,6 +486,7 @@ impl PendingHeap {
 
     fn pop(&mut self) -> Option<u128> {
         let top = self.heap.first().copied()?;
+        self.pops += 1;
         let last = self.heap.pop().expect("non-empty: peeked above");
         if !self.heap.is_empty() {
             self.heap[0] = last;
@@ -726,10 +750,19 @@ impl Admission for MemoryCapAdmission {
         self.memsize[q] += s;
     }
 
+    /// Names the fullest processor (lowest index on ties): the one
+    /// whose usage with the task, `used`, comes closest to the cap.
     fn rejection_error(&self, s: f64) -> ModelError {
+        let proc = (1..self.memsize.len()).fold(0, |best, q| {
+            if exceeds(self.memsize[q], self.memsize[best]) {
+                q
+            } else {
+                best
+            }
+        });
         ModelError::MemoryExceeded {
-            proc: 0,
-            used: self.memsize.iter().cloned().fold(0.0, f64::max) + s,
+            proc,
+            used: self.memsize[proc] + s,
             capacity: self.cap,
         }
     }
@@ -762,6 +795,9 @@ struct Candidate {
     /// Processors skipped by the probe (inadmissible, no more loaded),
     /// as a range into the round's shared skipped buffer.
     skipped: Range<u32>,
+    /// The tie-group member just ahead of this task, [`NO_TASK`] for a
+    /// group head or a runnable task.
+    prev: u32,
 }
 
 /// Selection buffers of a *contested* round (more than one candidate in
@@ -771,8 +807,8 @@ struct Candidate {
 struct SelectScratch {
     /// Runnable tasks popped this round, `(slot, task)`.
     popped_runnable: Vec<(u32, u32)>,
-    /// Pending entries popped this round (their full keys, so losers are
-    /// re-pushed bit-exactly).
+    /// Pending group heads popped this round (their full keys, so losing
+    /// groups are re-pushed bit-exactly).
     popped_pending: Vec<u128>,
     /// Selection candidates of the round.
     cands: Vec<Candidate>,
@@ -796,17 +832,19 @@ struct ProbeScratch {
 ///
 /// The layout is split along the round-shape axis: the uncontested fast
 /// path (one admissible top candidate, no competition — the
-/// overwhelmingly common round) touches only the leading `newly_ready`
-/// buffer header, one cache line; the contested-round selection buffers
+/// overwhelmingly common round) touches only the two leading staging
+/// buffer headers, one cache line; the contested-round selection buffers
 /// and, behind those, the probe buffers only reachable through an
 /// inadmissible load minimum, sit in separate structs so the fast path
 /// never pulls their lines.
 #[derive(Debug, Default)]
 struct StepScratch {
     /// Batched-frontier staging of [`EngineState::place`]: tasks whose
-    /// last predecessor the current placement was. The only scratch the
-    /// fast path touches.
+    /// last predecessor the current placement was.
     newly_ready: Vec<u32>,
+    /// The pending-bound part of `newly_ready`, as [`pend_key`]s sorted
+    /// into tie groups.
+    newly_pending: Vec<u128>,
     /// Contested rounds only.
     sel: SelectScratch,
     /// Contested rounds with inadmissible load minima only.
@@ -816,6 +854,7 @@ struct StepScratch {
 impl StepScratch {
     fn clear(&mut self) {
         self.newly_ready.clear();
+        self.newly_pending.clear();
         self.sel.popped_runnable.clear();
         self.sel.popped_pending.clear();
         self.sel.cands.clear();
@@ -825,7 +864,9 @@ impl StepScratch {
 }
 
 /// Per-task readiness bookkeeping, fused so a successor update touches
-/// one cache line instead of two parallel arrays.
+/// one cache line instead of two parallel arrays. The tie-group link
+/// fills the four bytes that would otherwise pad the struct to 16, so
+/// carrying it costs no memory in the state or its snapshots.
 #[derive(Debug, Clone, Copy)]
 struct PredState {
     /// Maximum completion time over scheduled predecessors, maintained
@@ -833,7 +874,14 @@ struct PredState {
     ready: f64,
     /// Predecessors not yet scheduled.
     remaining: u32,
+    /// The next member of this task's pending tie group (see
+    /// [`PendingHeap`]), [`NO_TASK`] at the group's tail. Meaningful only
+    /// while the task is pending.
+    next: u32,
 }
+
+/// The "no task" link of a tie group (task ids are `< n < u32::MAX`).
+const NO_TASK: u32 = u32::MAX;
 
 /// Resumable mid-run state of the event-driven scheduler: the ready
 /// structures, the indexed processor-load heap, the incremental Lemma-4
@@ -858,16 +906,34 @@ struct PredState {
 /// scatter; degenerate ranks (duplicates, `u32::MAX` sentinels) fall
 /// back to sorting the packs once per run. Either way the bitmap pops
 /// tasks in the identical sequence, so schedules are bit-identical.
+///
+/// # Tie groups
+///
+/// The pending side holds one heap entry per tie group (see the
+/// private `PendingHeap`); the group links live in `preds`, so a snapshot
+/// carries the groups with the rest of the state. A contested round
+/// walks each group it pops only up to the first member admissible on
+/// the least loaded processor: every member behind that one starts at
+/// the same key with a worse `(rank, task)`, so — by the argument that
+/// lets the runnable scan stop at its first such task, and wherever the
+/// tolerant tie relation is transitive (see the module docs) — it
+/// cannot win the round. Uncapped rounds therefore see group heads
+/// only. A winning
+/// head hands the heap entry to the next member, a winning later member
+/// is unlinked and its head re-pushed, and a group whose ready time
+/// reaches the minimum load moves to the runnable bitmap in one pass.
 #[derive(Debug)]
 pub struct EngineState {
     procs: ProcHeap,
     marked: Vec<bool>,
-    /// Readiness of every task (incremental predecessor bookkeeping).
+    /// Readiness of every task (incremental predecessor bookkeeping) and
+    /// the pending tie-group links.
     preds: Vec<PredState>,
     proc_of: Vec<u32>,
     start: Vec<f64>,
-    /// Ready tasks whose ready time exceeds the current minimum load,
-    /// keyed by the packed `(ready, rank, task)` [`pend_key`].
+    /// Tie groups of ready tasks whose ready time exceeds the current
+    /// minimum load, keyed by the head's packed `(ready, rank, task)`
+    /// [`pend_key`].
     pending: PendingHeap,
     /// Ready tasks whose ready time is (approximately) at or below the
     /// minimum load — their earliest start is the minimum load itself, so
@@ -995,6 +1061,7 @@ impl EngineState {
         self.preds.extend((0..n).map(|i| PredState {
             ready: 0.0,
             remaining: csr.in_degree(i) as u32,
+            next: NO_TASK,
         }));
         resize_for_overwrite(&mut self.proc_of, n, 0);
         resize_for_overwrite(&mut self.start, n, 0.0);
@@ -1029,14 +1096,18 @@ impl EngineState {
         let l1 = self.procs.min_load();
 
         // Migration: the minimum load only grows, so once a ready time is
-        // (approximately) at or below it the task is runnable forever.
+        // (approximately) at or below it the task is runnable forever —
+        // and with it the task's whole tie group.
         while let Some(k) = self.pending.peek() {
             if !approx_le(pend_ready(k), l1) {
                 break;
             }
             self.pending.pop();
-            self.runnable
-                .insert(self.slot_of_task[task_of(pend_pack(k)) as usize]);
+            let mut t = task_of(pend_pack(k));
+            while t != NO_TASK {
+                self.runnable.insert(self.slot_of_task[t as usize]);
+                t = self.preds[t as usize].next;
+            }
         }
 
         // Fast check for the dominant round shape: the best-ranked
@@ -1091,6 +1162,7 @@ impl EngineState {
                 task: i,
                 proc: q1 as u32,
                 skipped: 0..0,
+                prev: NO_TASK,
             });
         } else {
             while let Some(slot) = self.runnable.pop_min() {
@@ -1104,6 +1176,7 @@ impl EngineState {
                         task: i,
                         proc: q1 as u32,
                         skipped: 0..0,
+                        prev: NO_TASK,
                     });
                     break;
                 }
@@ -1119,6 +1192,7 @@ impl EngineState {
                         task: i,
                         proc: j as u32,
                         skipped: sk_start..scratch.probe.skipped.len() as u32,
+                        prev: NO_TASK,
                     }),
                     None => return Err(admission.rejection_error(s_i)),
                 }
@@ -1127,7 +1201,9 @@ impl EngineState {
 
         // Pending scan: a pending task can only win while its ready time
         // is approximately at or below the best candidate key (its start
-        // is at least its ready time).
+        // is at least its ready time). Each popped group is walked in
+        // `(rank, task)` order up to its first member admissible on q1,
+        // the last member that can win (see the EngineState docs).
         let mut best_key = scratch
             .sel
             .cands
@@ -1139,44 +1215,49 @@ impl EngineState {
             if !approx_le(ready, best_key) {
                 break;
             }
-            let pack = pend_pack(k);
-            let (rk, i) = (rank_of(pack), task_of(pack));
             self.pending.pop();
             scratch.sel.popped_pending.push(k);
-            let s_i = csr.s(i as usize);
-            // The probe visits the least loaded processor first, so an
-            // accept on q1 — the overwhelmingly common case — needs no
-            // frontier machinery at all.
-            if admission.admits(q1, s_i) {
-                let key = ready.max(l1);
-                best_key = best_key.min(key);
-                scratch.sel.cands.push(Candidate {
-                    key,
-                    rank: rk,
-                    task: i,
-                    proc: q1 as u32,
-                    skipped: 0..0,
-                });
-                continue;
-            }
-            let sk_start = scratch.probe.skipped.len() as u32;
-            match self.procs.probe_with(
-                |q| admission.admits(q, s_i),
-                &mut scratch.probe.frontier,
-                &mut scratch.probe.skipped,
-            ) {
-                Some(j) => {
-                    let key = ready.max(self.procs.load(j));
+            let (mut prev, mut i) = (NO_TASK, task_of(pend_pack(k)));
+            while i != NO_TASK {
+                let s_i = csr.s(i as usize);
+                // The probe visits the least loaded processor first, so
+                // an accept on q1 — the overwhelmingly common case —
+                // needs no frontier machinery at all.
+                if admission.admits(q1, s_i) {
+                    let key = ready.max(l1);
                     best_key = best_key.min(key);
                     scratch.sel.cands.push(Candidate {
                         key,
-                        rank: rk,
+                        rank: rank[i as usize],
                         task: i,
-                        proc: j as u32,
-                        skipped: sk_start..scratch.probe.skipped.len() as u32,
+                        proc: q1 as u32,
+                        skipped: 0..0,
+                        prev,
                     });
+                    break;
                 }
-                None => return Err(admission.rejection_error(s_i)),
+                let sk_start = scratch.probe.skipped.len() as u32;
+                match self.procs.probe_with(
+                    |q| admission.admits(q, s_i),
+                    &mut scratch.probe.frontier,
+                    &mut scratch.probe.skipped,
+                ) {
+                    Some(j) => {
+                        let key = ready.max(self.procs.load(j));
+                        best_key = best_key.min(key);
+                        scratch.sel.cands.push(Candidate {
+                            key,
+                            rank: rank[i as usize],
+                            task: i,
+                            proc: j as u32,
+                            skipped: sk_start..scratch.probe.skipped.len() as u32,
+                            prev,
+                        });
+                    }
+                    None => return Err(admission.rejection_error(s_i)),
+                }
+                prev = i;
+                i = self.preds[i as usize].next;
             }
         }
 
@@ -1216,7 +1297,18 @@ impl EngineState {
             let k = scratch.sel.popped_pending[pi];
             if task_of(pend_pack(k)) != winner.task {
                 self.pending.push(k);
+                continue;
             }
+            // The head won: the next member, if any, heads the group.
+            let next = self.preds[winner.task as usize].next;
+            if next != NO_TASK {
+                let pack = rank_task(rank[next as usize], next);
+                self.pending.push(pend_key(pend_ready(k), pack));
+            }
+        }
+        if winner.prev != NO_TASK {
+            // A later member won: unlink it (its head was re-pushed).
+            self.preds[winner.prev as usize].next = self.preds[winner.task as usize].next;
         }
 
         // Lemma-4 bookkeeping: the winning probe skipped exactly the
@@ -1289,15 +1381,29 @@ impl EngineState {
         // skipping the pending round trip halves the structure traffic
         // on wide ready fronts.
         let l_min = self.procs.min_load();
+        scratch.newly_pending.clear();
         for ni in 0..scratch.newly_ready.len() {
             let v = scratch.newly_ready[ni] as usize;
             let ready = self.preds[v].ready;
             if approx_le(ready, l_min) {
                 self.runnable.insert(self.slot_of_task[v]);
             } else {
-                self.pending
+                scratch
+                    .newly_pending
                     .push(pend_key(ready, rank_task(rank[v], v as u32)));
             }
+        }
+        // The rest enter the pending heap as tie groups: sorted by key,
+        // each run of bit-identical ready times is linked in
+        // `(rank, task)` order and pushed as its head.
+        scratch.newly_pending.sort_unstable();
+        for group in scratch.newly_pending.chunk_by(|a, b| a >> 64 == b >> 64) {
+            for pair in group.windows(2) {
+                self.preds[task_of(pend_pack(pair[0])) as usize].next = task_of(pend_pack(pair[1]));
+            }
+            let tail = group[group.len() - 1];
+            self.preds[task_of(pend_pack(tail)) as usize].next = NO_TASK;
+            self.pending.push(group[0]);
         }
 
         self.round += 1;
@@ -1952,7 +2058,10 @@ impl CheckpointedRun {
     /// counted as outstanding instead. A task ready at restore time
     /// enters the ready structures exactly where a from-scratch run's
     /// migration would put it: runnable iff its ready time is
-    /// (approximately) at or below the minimum load, pending otherwise.
+    /// (approximately) at or below the minimum load, pending otherwise,
+    /// as a singleton tie group. (A from-scratch run may group it with
+    /// siblings of the same ready time; ranked last, it trails them, and
+    /// either way the rounds select the same winners.)
     ///
     /// Every spliced task takes the next slot (`t`): the rank guard of
     /// arrival replans sorts each arrival's pack after all earlier ones,
@@ -1979,7 +2088,11 @@ impl CheckpointedRun {
                     remaining += 1;
                 }
             }
-            state.preds.push(PredState { ready, remaining });
+            state.preds.push(PredState {
+                ready,
+                remaining,
+                next: NO_TASK,
+            });
             state.proc_of.push(0);
             state.start.push(0.0);
             state.slot_of_task.push(t as u32);
@@ -1988,6 +2101,7 @@ impl CheckpointedRun {
                 if approx_le(ready, state.procs.min_load()) {
                     state.runnable.insert(t as u32);
                 } else {
+                    // A singleton tie group.
                     state
                         .pending
                         .push(pend_key(ready, rank_task(rank[t], t as u32)));
@@ -2304,11 +2418,96 @@ mod tests {
             ModelError::MemoryExceeded { capacity, .. } => assert_eq!(capacity, 3.0),
             other => panic!("unexpected error {other:?}"),
         }
+        // A rejection names the fullest processor, not processor 0: on
+        // independent tasks with s = 1, 3 and 5 under cap 5.5, the last
+        // task fits nowhere, and processor 1 (holding 3) would use 8.
+        let tasks = sws_model::task::TaskSet::from_ps(&[1.0, 1.0, 1.0], &[1.0, 3.0, 5.0]).unwrap();
+        let csr = CsrDag::edge_free(&tasks);
+        let mut tight = MemoryCapAdmission::new(2, 5.5);
+        let mut ws = KernelWorkspace::new();
+        let err = event_driven_schedule_csr(&csr, 2, &index_priority(3), &mut tight, &mut ws)
+            .unwrap_err();
+        assert_eq!(tight.memsize(), &[1.0, 3.0]);
+        assert_eq!(
+            err,
+            ModelError::MemoryExceeded {
+                proc: 1,
+                used: 8.0,
+                capacity: 5.5
+            }
+        );
         // Reset restores a pristine predicate (possibly resized).
         adm.reset(3, 7.0);
         assert_eq!(adm.memsize(), &[0.0, 0.0, 0.0]);
         assert_eq!(adm.cap(), 7.0);
         assert!(adm.admits(0, 7.0));
+    }
+
+    /// Pending-heap pops per placed task stay near one on every
+    /// generator family, capped (∆ = 3) and uncapped: a fork's children
+    /// tie on their ready time and cost one pop per placement as a tie
+    /// group, not one per child for every idle processor.
+    #[test]
+    fn pending_pops_per_task_stay_near_one_on_every_family() {
+        use sws_workloads::{dagsets, TaskDistribution};
+        let (m, mut ws) = (8, KernelWorkspace::new());
+        for family in dagsets::DagFamily::all() {
+            for n in [250, 1_000] {
+                let inst = dagsets::dag_workload(
+                    family,
+                    n,
+                    m,
+                    TaskDistribution::Uncorrelated,
+                    &mut sws_workloads::seeded_rng(n as u64),
+                );
+                let (csr, rank) = (inst.csr(), index_priority(inst.n()));
+                let mut capped = MemoryCapAdmission::new(m, 3.0 * inst.mmax_lower_bound());
+                event_driven_schedule_csr(&csr, m, &rank, &mut capped, &mut ws).unwrap();
+                let capped_pops = ws.state.pending.pops;
+                event_driven_schedule_csr(&csr, m, &rank, &mut Unrestricted, &mut ws).unwrap();
+                let uncapped_pops = ws.state.pending.pops;
+                for (what, pops) in [("∆ = 3", capped_pops), ("uncapped", uncapped_pops)] {
+                    let per_task = pops as f64 / inst.n() as f64;
+                    assert!(
+                        per_task <= 1.5,
+                        "{} n = {}, {what}: {per_task:.2} pending pops per task",
+                        family.label(),
+                        inst.n()
+                    );
+                }
+            }
+        }
+    }
+
+    /// A capped round walks a tie group past a head that the least
+    /// loaded processor rejects. Tasks 3 and 4 wait on task 1 alone, so
+    /// they form one group at its completion time 3, headed by task 3.
+    /// In round 3 the head fits only on processor 2, busy until 10,
+    /// while task 4 fits on the least loaded processor 0 and starts at
+    /// 3, so the member behind the head wins. Task 5, released by task
+    /// 4 and ranked above the head, then takes processor 2 first, and
+    /// the head starts at 11, not 10.
+    #[test]
+    fn a_tie_group_member_behind_a_rejected_head_can_win() {
+        let tasks = sws_model::task::TaskSet::from_ps(
+            &[1.0, 3.0, 10.0, 1.0, 1.0, 1.0],
+            &[4.0, 4.0, 0.0, 2.0, 1.0, 2.0],
+        )
+        .unwrap();
+        let graph = sws_dag::TaskGraph::from_edges(tasks, &[(1, 3), (1, 4), (4, 5)]).unwrap();
+        let csr = CsrDag::from_graph(&graph);
+        let rank = vec![0, 1, 2, 4, 5, 3];
+        let mut admission = MemoryCapAdmission::new(3, 5.0);
+        let mut ws = KernelWorkspace::new();
+        let out = event_driven_schedule_csr(&csr, 3, &rank, &mut admission, &mut ws).unwrap();
+        let placed: Vec<(usize, f64)> = (0..6)
+            .map(|i| (out.schedule.proc_of(i), out.schedule.start(i)))
+            .collect();
+        assert_eq!(
+            placed,
+            [(0, 0.0), (1, 0.0), (2, 0.0), (2, 11.0), (0, 3.0), (2, 10.0)]
+        );
+        assert_eq!(out.marked, [true, true, false]);
     }
 
     #[test]

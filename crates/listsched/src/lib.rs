@@ -20,9 +20,10 @@
 //!   scheduler (including RLS∆ in `sws-core`) runs on: heap-based ready
 //!   queues fed by completion events, an indexed min-heap over processor
 //!   loads with a pluggable admissibility predicate, and incremental
-//!   Lemma-4 marking — `O((n + E)·log n + n·log m)` (when admission
-//!   rejections are rare; see `kernel`'s module docs) instead of the
-//!   naive `O(n²·m)`;
+//!   Lemma-4 marking — `O((n + E)·log n + n·log m)` plus `O(log n)` per
+//!   pending tie group a contested round pops (when admission
+//!   rejections are rare; see `kernel`'s module docs for both costs)
+//!   instead of the naive `O(n²·m)`;
 //! * [`naive`] — the original quadratic implementations, retained as
 //!   differential-testing oracles for the kernel.
 

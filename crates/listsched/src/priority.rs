@@ -8,13 +8,14 @@
 //! Ranks are `u32` (the CSR layer guarantees `n < u32::MAX`), which
 //! halves the rank-array cache traffic in the kernel's hot loop. The
 //! cost-keyed orders (SPT/LPT/largest-storage) have `*_csr` variants
-//! that sort by the instance's quantized `u32` cost ranks
-//! ([`sws_dag::CsrDag::p_ranks`]) instead of `f64` comparators — the
-//! rank table is order-preserving, so the resulting permutation is
-//! identical, just cheaper to compute (integer sort keys packed with the
-//! tie-break index into one `u64`).
+//! that sort the costs' IEEE-754 bit patterns instead of calling an
+//! `f64` comparator: costs are finite and non-negative, where the bit
+//! pattern orders like the value, so the permutation is identical, just
+//! cheaper to compute (integer sort keys packed with the tie-break index
+//! into one `u128`).
 
 use sws_dag::{CsrDag, TaskGraph};
+use sws_model::numeric::finite_ge;
 
 /// A total order over tasks, expressed as a rank per task: the task with
 /// the *smallest* rank wins ties.
@@ -40,8 +41,8 @@ pub fn index_priority(n: usize) -> PriorityRank {
 
 /// Highest Level First (critical-path priority): tasks with the largest
 /// bottom level first — the classical DAG list-scheduling heuristic.
-/// (Bottom levels are derived sums, not tabled instance costs, so there
-/// is no quantized variant of this order.)
+/// (Bottom levels are derived sums over the graph, so this order has no
+/// `_csr` variant.)
 pub fn hlf_priority(graph: &TaskGraph) -> PriorityRank {
     let bottom = sws_dag::levels::bottom_levels(graph);
     let mut order: Vec<usize> = (0..graph.n()).collect();
@@ -78,14 +79,23 @@ pub fn largest_storage_priority(graph: &TaskGraph) -> PriorityRank {
     rank_of_order(&order)
 }
 
-/// Ranks tasks by packed `((key << 32) | task)` integer sort keys: one
-/// `u64` sort, ties broken towards the lower task index.
-fn rank_by_packed_keys(keys: impl Iterator<Item = u32>) -> PriorityRank {
-    let mut packed: Vec<u64> = keys
+/// Ranks tasks by packed `((cost bits << 32) | task)` integer sort
+/// keys: one `u128` sort, ties broken towards the lower task index. On
+/// finite non-negative costs the bit pattern orders like the value, and
+/// `+ 0.0` folds `-0.0` onto `0.0` (the two compare equal, so they tie
+/// like equal costs); `descending` complements the bits, which reverses
+/// their order.
+fn rank_by_cost_bits(costs: &[f64], descending: bool) -> PriorityRank {
+    assert!(costs.len() < u32::MAX as usize, "ranks fit in u32");
+    let flip = if descending { u64::MAX } else { 0 };
+    let mut packed: Vec<u128> = costs
+        .iter()
         .enumerate()
-        .map(|(i, k)| ((k as u64) << 32) | i as u64)
+        .map(|(i, &v)| {
+            debug_assert!(finite_ge(v, 0.0), "costs are finite and non-negative");
+            ((((v + 0.0).to_bits() ^ flip) as u128) << 32) | i as u128
+        })
         .collect();
-    assert!(packed.len() < u32::MAX as usize, "ranks fit in u32");
     packed.sort_unstable();
     let mut rank = vec![u32::MAX; packed.len()];
     for (r, &pk) in packed.iter().enumerate() {
@@ -94,53 +104,22 @@ fn rank_by_packed_keys(keys: impl Iterator<Item = u32>) -> PriorityRank {
     rank
 }
 
-/// [`spt_priority`] over the flat instance mirror: sorts by the
-/// quantized `u32` processing-time ranks when the instance has a cost
-/// table, falling back to the `f64` comparator when saturated. Produces
-/// the same permutation either way.
+/// [`spt_priority`] over the flat instance mirror: the same permutation
+/// from an integer sort of the processing times' bit patterns.
 pub fn spt_priority_csr(csr: &CsrDag) -> PriorityRank {
-    match csr.p_ranks() {
-        Some(pr) => rank_by_packed_keys(pr.iter().copied()),
-        None => {
-            let mut order: Vec<usize> = (0..csr.n()).collect();
-            order.sort_by(|&a, &b| {
-                sws_model::numeric::total_cmp(csr.p(a), csr.p(b)).then(a.cmp(&b))
-            });
-            rank_of_order(&order)
-        }
-    }
+    rank_by_cost_bits(csr.proc_times(), false)
 }
 
 /// [`lpt_priority`] over the flat instance mirror (see
-/// [`spt_priority_csr`]). A descending cost order is an ascending order
-/// on the complemented rank — table ranks never reach `u32::MAX`, so
-/// the complement stays order-preserving.
+/// [`spt_priority_csr`]).
 pub fn lpt_priority_csr(csr: &CsrDag) -> PriorityRank {
-    match csr.p_ranks() {
-        Some(pr) => rank_by_packed_keys(pr.iter().map(|&r| u32::MAX - r)),
-        None => {
-            let mut order: Vec<usize> = (0..csr.n()).collect();
-            order.sort_by(|&a, &b| {
-                sws_model::numeric::total_cmp(csr.p(b), csr.p(a)).then(a.cmp(&b))
-            });
-            rank_of_order(&order)
-        }
-    }
+    rank_by_cost_bits(csr.proc_times(), true)
 }
 
 /// [`largest_storage_priority`] over the flat instance mirror (see
-/// [`lpt_priority_csr`] for the descending-order encoding).
+/// [`spt_priority_csr`]).
 pub fn largest_storage_priority_csr(csr: &CsrDag) -> PriorityRank {
-    match csr.s_ranks() {
-        Some(sr) => rank_by_packed_keys(sr.iter().map(|&r| u32::MAX - r)),
-        None => {
-            let mut order: Vec<usize> = (0..csr.n()).collect();
-            order.sort_by(|&a, &b| {
-                sws_model::numeric::total_cmp(csr.s(b), csr.s(a)).then(a.cmp(&b))
-            });
-            rank_of_order(&order)
-        }
-    }
+    rank_by_cost_bits(csr.mem_sizes(), true)
 }
 
 #[cfg(test)]
@@ -209,25 +188,23 @@ mod tests {
 
     #[test]
     fn csr_priorities_match_on_duplicate_costs_and_saturated_tables() {
-        // Duplicate p/s values force index tie-breaks through both paths;
-        // a lowered key limit forces the f64 fallback.
+        // Duplicate p/s values force index tie-breaks, and zeros of both
+        // signs must tie like the equal costs they are.
+        let zero = |i: usize| if i.is_multiple_of(2) { 0.0 } else { -0.0 };
         let tasks = TaskSet::new(
             (0..16)
                 .map(|i| Task::new_unchecked(1.0 + (i % 3) as f64, 4.0 - (i % 2) as f64))
+                .chain((0..6).map(|i| Task::new_unchecked(zero(i), zero(i / 2))))
                 .collect(),
         )
         .unwrap();
         let g = TaskGraph::new(tasks);
-        let full = g.csr();
-        let saturated = sws_dag::CsrDag::from_graph_with_key_limit(&g, 1);
-        assert!(saturated.cost_keys().is_none());
-        for csr in [&full, &saturated] {
-            assert_eq!(spt_priority_csr(csr), spt_priority(&g));
-            assert_eq!(lpt_priority_csr(csr), lpt_priority(&g));
-            assert_eq!(
-                largest_storage_priority_csr(csr),
-                largest_storage_priority(&g)
-            );
-        }
+        let csr = g.csr();
+        assert_eq!(spt_priority_csr(&csr), spt_priority(&g));
+        assert_eq!(lpt_priority_csr(&csr), lpt_priority(&g));
+        assert_eq!(
+            largest_storage_priority_csr(&csr),
+            largest_storage_priority(&g)
+        );
     }
 }

@@ -7,8 +7,8 @@
 //! predecessors and SoC-flavoured costs (the firmware-image units of
 //! [`crate::soc`]), completions in execution-plausible order, and cost
 //! re-estimates — plus an adversarial mode that draws the signed zeros
-//! and rank-saturating magnitudes the quantized `KeyTable` has to
-//! survive.
+//! and extreme magnitudes the cost orders and the kernel's time keys
+//! have to survive.
 //!
 //! Streams are *stateful by construction*: an arrival's predecessor set
 //! is sampled from the tasks present at that point of the stream, a
@@ -38,9 +38,9 @@ pub struct DeltaStreamConfig {
     /// draws `0..=max_preds` distinct predecessors from the live
     /// tasks).
     pub max_preds: usize,
-    /// Mix in adversarial costs: signed zeros (`-0.0`) and
-    /// rank-saturating magnitudes (≥ 1e290, far beyond any quantized
-    /// key table's range) on roughly one draw in eight.
+    /// Mix in adversarial costs: signed zeros (`-0.0`) and extreme
+    /// magnitudes (≥ 1e290, near the top of the `f64` range) on roughly
+    /// one draw in eight.
     pub adversarial_costs: bool,
 }
 
@@ -86,7 +86,7 @@ impl DeltaStreamConfig {
 /// small control kernels, occasionally a DSP-sized one — the
 /// [`crate::soc`] families, without the blob tail that would dominate
 /// short streams. Adversarial mode replaces roughly one draw in eight
-/// with a signed zero or a rank-saturating magnitude.
+/// with a signed zero or an extreme magnitude.
 fn draw_costs(cfg: &DeltaStreamConfig, rng: &mut WorkloadRng) -> (f64, f64) {
     if cfg.adversarial_costs {
         match rng.gen_range(0..8) {

@@ -112,17 +112,17 @@ fn csr_workspace_reuse_matches_the_kernel_on_every_family_order_and_m() {
     }
 }
 
-/// Interleaves instances whose CSR mirrors carry a cost-quantization
-/// table with instances whose tables are saturated (forced absent via a
-/// key limit of 1) through ONE `KernelWorkspace`: the quantized and the
-/// f64-fallback priority paths must produce identical ranks, and the
-/// kernel must produce bit-identical schedules through the shared
-/// buffers regardless of which flavour ran before. Alternating the
-/// order per stream step makes table-dependent state leaks visible.
+/// Interleaves instances of every family through ONE `KernelWorkspace`
+/// under the cost-keyed orders: `rank_csr`'s integer sort of the cost
+/// bits must produce the permutation of the `TaskGraph` comparators,
+/// and the kernel must produce bit-identical schedules through the
+/// shared buffers under either rank, regardless of which ran before.
+/// Alternating the order per stream step makes state leaks visible.
 #[test]
 fn saturated_and_quantized_tables_interleave_through_one_workspace() {
     use sws_listsched::kernel::event_driven_schedule_csr;
     use sws_listsched::kernel::MemoryCapAdmission;
+    use sws_listsched::priority::PriorityRank;
 
     let mut ws = sws_listsched::KernelWorkspace::new();
     let mut stream = 900u64;
@@ -134,39 +134,39 @@ fn saturated_and_quantized_tables_interleave_through_one_workspace() {
         ] {
             stream += 1;
             let inst = workload(family, 48, 4, stream);
-            let full = inst.csr();
-            let saturated = sws_dag::CsrDag::from_graph_with_key_limit(inst.graph(), 1);
-            assert!(full.cost_keys().is_some(), "real costs must quantize");
-            assert!(saturated.cost_keys().is_none(), "limit 1 must saturate");
+            let csr = inst.csr();
 
-            // Quantized integer sort vs f64 comparator: same permutation.
-            let rank = order.rank_csr(inst.graph(), &full);
+            // Integer sort of the cost bits vs the `TaskGraph`
+            // comparators (`spt_priority`, `lpt_priority`,
+            // `largest_storage_priority`): same permutation.
+            let rank = order.rank_csr(inst.graph(), &csr);
+            let compared = order.rank(inst.graph());
             assert_eq!(
                 rank,
-                order.rank_csr(inst.graph(), &saturated),
-                "{}/{}: quantized rank differs from the f64 fallback",
+                compared,
+                "{}/{}: bit-sorted rank differs from the f64 comparator",
                 family.label(),
                 order.label()
             );
 
             let cap = 3.0 * inst.mmax_lower_bound();
-            let run = |csr: &sws_dag::CsrDag, ws: &mut sws_listsched::KernelWorkspace| {
+            let run = |rank: &PriorityRank, ws: &mut sws_listsched::KernelWorkspace| {
                 let mut admission = MemoryCapAdmission::new(inst.m(), cap);
-                event_driven_schedule_csr(csr, inst.m(), &rank, &mut admission, ws)
+                event_driven_schedule_csr(&csr, inst.m(), rank, &mut admission, ws)
                     .unwrap()
                     .schedule
             };
-            // Alternate which flavour touches the shared workspace first.
+            // Alternate which rank touches the shared workspace first.
             let (a, b) = if stream.is_multiple_of(2) {
-                (run(&full, &mut ws), run(&saturated, &mut ws))
+                (run(&rank, &mut ws), run(&compared, &mut ws))
             } else {
-                let b = run(&saturated, &mut ws);
-                (run(&full, &mut ws), b)
+                let b = run(&compared, &mut ws);
+                (run(&rank, &mut ws), b)
             };
             assert_eq!(
                 a,
                 b,
-                "{}/{}: saturated-table schedule differs through the shared workspace",
+                "{}/{}: comparator-ranked schedule differs through the shared workspace",
                 family.label(),
                 order.label()
             );
