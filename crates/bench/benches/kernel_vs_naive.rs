@@ -44,11 +44,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use sws_core::pareto_sweep::rls_sweep;
-use sws_core::rls::{naive, PriorityOrder, RlsConfig, RlsEngine};
+use sws_core::rls::{PriorityOrder, RlsConfig, RlsEngine};
 use sws_dag::DagInstance;
 use sws_listsched::kernel::ProcHeap;
 use sws_listsched::priority::hlf_priority;
-use sws_listsched::{dag_list_schedule_csr, naive as listsched_naive, KernelWorkspace};
+use sws_listsched::{dag_list_schedule_csr, KernelWorkspace};
 use sws_workloads::dagsets::{dag_workload, DagFamily};
 use sws_workloads::rng::seeded_rng;
 use sws_workloads::TaskDistribution;
@@ -99,7 +99,7 @@ fn bench_rls(c: &mut Criterion) {
         });
         if !quick() {
             group.bench_with_input(BenchmarkId::new("naive", n), &inst, |b, inst| {
-                b.iter(|| black_box(naive::rls(black_box(inst), &cfg).unwrap()))
+                b.iter(|| black_box(sws_oracle::rls(black_box(inst), &cfg).unwrap()))
             });
         }
     }
@@ -124,7 +124,7 @@ fn bench_rls(c: &mut Criterion) {
     if !quick() {
         group.sample_size(2);
         group.bench_with_input(BenchmarkId::new("naive", "10000x32"), &big, |b, inst| {
-            b.iter(|| black_box(naive::rls(black_box(inst), &cfg).unwrap()))
+            b.iter(|| black_box(sws_oracle::rls(black_box(inst), &cfg).unwrap()))
         });
     }
 
@@ -146,7 +146,7 @@ fn bench_dag_list(c: &mut Criterion) {
         });
         if !quick() {
             group.bench_with_input(BenchmarkId::new("naive", n), &inst, |b, inst| {
-                b.iter(|| black_box(listsched_naive::dag_list_schedule(black_box(inst), &rank)))
+                b.iter(|| black_box(sws_oracle::dag_list_schedule(black_box(inst), &rank)))
             });
         }
     }

@@ -4,7 +4,7 @@
 //! oracle) and the list-scheduler-dominated cost of SBO∆.
 //!
 //! The `scaling_kernel_vs_naive` group tracks the event-driven kernel
-//! against the `naive::*` oracles on the same instances; the fuller
+//! against the `sws_oracle` scans on the same instances; the fuller
 //! comparison (including the 10k×32 acceptance point and sweep thread
 //! scaling) lives in `benches/kernel_vs_naive.rs`, whose output is
 //! committed as `BENCH_kernel.json`.
@@ -109,7 +109,7 @@ fn bench_kernel_vs_naive(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("rls_naive", n), &inst, |b, inst| {
-            b.iter(|| black_box(sws_core::rls::naive::rls(black_box(inst), &cfg).unwrap()))
+            b.iter(|| black_box(sws_oracle::rls(black_box(inst), &cfg).unwrap()))
         });
     }
 

@@ -99,8 +99,8 @@ fn bench_rls_sweep(c: &mut Criterion) {
         |b, inst| {
             b.iter(|| {
                 let mut run = CheckpointedRun::cold_in(
-                    inst,
                     Arc::clone(&csr),
+                    inst.m(),
                     Arc::clone(&rank),
                     caps[0],
                     &mut ws,

@@ -103,10 +103,7 @@ pub fn reference_point(inst: &Instance) -> (ObjectivePoint, Reference) {
 fn scheduled_memory_cap(solution: &Solution, lb: f64) -> Option<f64> {
     let kernel_capped = matches!(
         solution.stats.backend,
-        BackendId::KernelRls
-            | BackendId::NaiveRls
-            | BackendId::KernelTriRls
-            | BackendId::ConstrainedSearch
+        BackendId::KernelRls | BackendId::KernelTriRls | BackendId::ConstrainedSearch
     );
     let cap = solution.ratio_bound?.1 * lb;
     (kernel_capped && cap.is_finite()).then_some(cap)

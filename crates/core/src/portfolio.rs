@@ -2,9 +2,9 @@
 //! auto-selects among the workspace's schedulers.
 //!
 //! Every algorithm in the workspace — the event-driven kernel
-//! list-schedulers, the naive differential oracle, the exact solvers,
-//! the Hochbaum–Shmoys PTAS and the classic single-objective heuristics —
-//! is wrapped as a [`Solver`] speaking the model-layer vocabulary of
+//! list-schedulers, the exact solvers, the Hochbaum–Shmoys PTAS and the
+//! classic single-objective heuristics — is wrapped as a [`Solver`]
+//! speaking the model-layer vocabulary of
 //! `sws_model::solve`: a [`SolveRequest`] in, a [`Solution`] out. The
 //! [`Portfolio`] routes each request to the *cheapest registered backend
 //! that satisfies the required guarantee*, so callers never hardcode an
@@ -33,7 +33,9 @@
 //!    | 30–35 | kernel schedulers (SBO∆ / RLS∆ / tri-objective RLS / DAG list / constrained search) |
 //!    | 50   | PTAS (only route that *proves* `1 + ε` short of exact) |
 //!    | 90   | exact, non-tiny but still inside its feasibility gates |
-//!    | 240  | the naive RLS oracle — registered for differential testing, never auto-preferred |
+//!
+//!    The naive `O(n²m)` RLS∆ scan is not a backend: the differential
+//!    suites call it directly from the dev-only `sws_oracle` crate.
 //!
 //! When no backend qualifies the portfolio returns
 //! [`ModelError::NoQualifiedBackend`] — e.g. an `Exact` request on a
@@ -83,7 +85,7 @@ use crate::constrained::{
     solve_dag_with_memory_budget_in, solve_with_memory_budget, ConstrainedOutcome,
     DagConstrainedOutcome,
 };
-use crate::rls::{naive, rls_in, rls_independent_in, RlsConfig};
+use crate::rls::{rls_in, rls_independent_in, RlsConfig};
 use crate::sbo::{sbo, InnerAlgorithm, SboConfig};
 use crate::tri::tri_objective_rls_in;
 
@@ -115,7 +117,6 @@ const RANK_KERNEL_ALT: u32 = 35;
 const RANK_PTAS: u32 = 50;
 const RANK_EXACT: u32 = 90;
 const RANK_SPT: u32 = 200;
-const RANK_ORACLE: u32 = 240;
 
 /// A scheduler backend speaking the unified solver vocabulary.
 ///
@@ -265,12 +266,16 @@ pub(crate) fn resolve_dag<'a>(p: &'a dyn PrecedenceInstance) -> Result<DagRef<'a
 }
 
 /// The precedence-aware bound report for a DAG instance (critical-path
-/// strengthened makespan bound). Costs one `O(V + E)` traversal per
-/// solve on top of the scheduling run — the price of always-correct
-/// bound provenance in the returned stats; the committed kernel/batch
-/// baselines do not route through here.
+/// strengthened makespan bound), read from the bounds the instance
+/// cached at construction: no traversal or fold per solve. Field for
+/// field equal to
+/// `BoundReport::with_critical_path(tasks, m, critical_path_length())`.
 fn dag_bounds(dag: &DagInstance) -> BoundReport {
-    BoundReport::with_critical_path(dag.tasks(), dag.m(), dag.critical_path_length())
+    BoundReport {
+        cmax: dag.cmax_lower_bound(),
+        mmax: dag.mmax_lower_bound(),
+        source: BoundSource::CriticalPath,
+    }
 }
 
 /// Packages an assignment-producing backend's output as a [`Solution`].
@@ -351,64 +356,6 @@ impl Solver for KernelRlsBackend {
                 let dag = resolve_dag(p)?;
                 let result = rls_in(&dag, &config, ws)?;
                 Ok(result.into_solution(dag.tasks(), self.id(), dag_bounds(&dag), true))
-            }
-        }
-    }
-}
-
-/// The retained `O(n²m)` RLS∆ oracle. Registered so differential tests
-/// can request it explicitly; its rank keeps it from ever being
-/// auto-selected.
-pub struct NaiveRlsBackend;
-
-impl Solver for NaiveRlsBackend {
-    fn id(&self) -> BackendId {
-        BackendId::NaiveRls
-    }
-
-    fn bid(&self, req: &SolveRequest) -> Option<u32> {
-        let ObjectiveMode::BiObjective { delta } = req.objective else {
-            return None;
-        };
-        if !exceeds(delta, 2.0) || !Guarantee::PaperRatio.satisfies(&req.guarantee) {
-            return None;
-        }
-        Some(RANK_ORACLE)
-    }
-
-    fn estimate_cost(&self, req: &SolveRequest) -> CostEstimate {
-        let n = req.n() as f64;
-        CostEstimate {
-            work: n * n * req.m() as f64,
-            model: CostModel::Quadratic,
-        }
-    }
-
-    fn solve_in(
-        &self,
-        req: &SolveRequest,
-        _ws: &mut KernelWorkspace,
-    ) -> Result<Solution, ModelError> {
-        let ObjectiveMode::BiObjective { delta } = req.objective else {
-            return Err(req.no_backend_error());
-        };
-        let config = RlsConfig::new(delta);
-        match req.instance {
-            RequestInstance::Independent(inst) => {
-                let graph = TaskGraph::new(inst.tasks().clone());
-                let dag = DagInstance::new(graph, inst.m())?;
-                let result = naive::rls(&dag, &config)?;
-                Ok(result.into_solution(
-                    inst.tasks(),
-                    self.id(),
-                    BoundReport::identical(inst.tasks(), inst.m()),
-                    false,
-                ))
-            }
-            RequestInstance::Precedence(p) => {
-                let dag = resolve_dag(p)?;
-                let result = naive::rls(&dag, &config)?;
-                Ok(result.into_solution(dag.tasks(), self.id(), dag_bounds(&dag), false))
             }
         }
     }
@@ -1157,7 +1104,6 @@ impl Portfolio {
         p.register(Box::new(KernelDagListBackend));
         p.register(Box::new(ConstrainedBackend));
         p.register(Box::new(PtasBackend));
-        p.register(Box::new(NaiveRlsBackend));
         p
     }
 
@@ -1231,35 +1177,6 @@ impl Portfolio {
             rank,
             cost: solver.estimate_cost(req),
         })
-    }
-
-    /// Every qualifying backend for the request, sorted by estimated
-    /// cost (ties: selection rank, then registration order). The head of
-    /// the list is the cheapest way to serve the request at its required
-    /// guarantee — which may differ from [`Portfolio::select`]'s pick,
-    /// whose ranks also encode solution *quality* preferences (e.g. tiny
-    /// instances prefer exact answers over a marginally cheaper
-    /// heuristic). Empty when nothing qualifies.
-    pub fn cost_ranking(&self, req: &SolveRequest) -> Vec<SolvePlan> {
-        let mut plans: Vec<SolvePlan> = self
-            .backends
-            .iter()
-            .filter_map(|b| {
-                b.bid(req).map(|rank| SolvePlan {
-                    backend: b.id(),
-                    rank,
-                    cost: b.estimate_cost(req),
-                })
-            })
-            .collect();
-        plans.sort_by(|a, b| {
-            a.cost
-                .work
-                // sws-lint: allow(float-discipline, reason = "IEEE-754 total order over cost estimates: deterministic ranking that must not panic mid-serve; no schedule tie-break flows through it")
-                .total_cmp(&b.cost.work)
-                .then(a.rank.cmp(&b.rank))
-        });
-        plans
     }
 
     /// Routes the request to the selected backend (one-shot workspace).
@@ -1456,6 +1373,28 @@ mod tests {
         let req = SolveRequest::independent(&large, ObjectiveMode::MemoryBudget { budget })
             .with_guarantee(Guarantee::PaperRatio);
         assert!(portfolio.selected(&req).is_err());
+    }
+
+    /// `dag_bounds` reads the bounds the instance cached; they must be
+    /// the bits `BoundReport::with_critical_path` computes, on every DAG
+    /// family and on an empty DAG.
+    #[test]
+    fn dag_bounds_match_the_critical_path_report() {
+        let mut rng = seeded_rng(41);
+        let mut dags: Vec<DagInstance> = DagFamily::all()
+            .into_iter()
+            .map(|family| dag_workload(family, 60, 4, TaskDistribution::Bimodal, &mut rng))
+            .collect();
+        let empty = sws_model::task::TaskSet::from_ps(&[], &[]).unwrap();
+        dags.push(DagInstance::new(TaskGraph::new(empty), 3).unwrap());
+        for dag in &dags {
+            let cached = dag_bounds(dag);
+            let computed =
+                BoundReport::with_critical_path(dag.tasks(), dag.m(), dag.critical_path_length());
+            assert_eq!(cached.cmax.to_bits(), computed.cmax.to_bits());
+            assert_eq!(cached.mmax.to_bits(), computed.mmax.to_bits());
+            assert_eq!(cached.source, computed.source);
+        }
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //! memory rejections on the least-loaded processor stay rare (they are,
 //! on every measured workload; the kernel's module docs state both
 //! costs and the worst case) instead of the original `O(n²·m)` scan, which
-//! survives as the differential oracle [`naive::rls`]. Warm ∆ chains
+//! survives as the differential oracle `sws_oracle::rls` (a dev-only
+//! crate next to the tests that use it). Warm ∆ chains
 //! resume a recorded run instead ([`RlsEngine::run`]); one-off requests
 //! go through the portfolio (`crate::portfolio`).
 
@@ -41,8 +42,8 @@ use sws_listsched::kernel::{
     event_driven_schedule_csr, CheckpointedRun, KernelWorkspace, MemoryCapAdmission,
 };
 use sws_listsched::priority::{
-    hlf_priority, index_priority, largest_storage_priority, largest_storage_priority_csr,
-    lpt_priority, lpt_priority_csr, spt_priority, spt_priority_csr, PriorityRank,
+    hlf_priority, index_priority, largest_storage_priority_csr, lpt_priority_csr, spt_priority_csr,
+    PriorityRank,
 };
 use sws_model::bounds::mmax_lower_bound;
 use sws_model::error::ModelError;
@@ -96,23 +97,11 @@ impl PriorityOrder {
         }
     }
 
-    /// Builds the rank vector (lower rank = preferred) for a graph.
-    pub fn rank(&self, graph: &TaskGraph) -> PriorityRank {
-        match self {
-            PriorityOrder::Index => index_priority(graph.n()),
-            PriorityOrder::Spt => spt_priority(graph),
-            PriorityOrder::Lpt => lpt_priority(graph),
-            PriorityOrder::BottomLevel => hlf_priority(graph),
-            PriorityOrder::LargestStorage => largest_storage_priority(graph),
-        }
-    }
-
-    /// [`PriorityOrder::rank`] from a prebuilt CSR mirror: cost-keyed
-    /// orders sort the cost arrays' bit patterns instead of calling
-    /// `f64` comparators (same permutation, cheaper sort — see
-    /// [`sws_listsched::priority::spt_priority_csr`]). Bottom-level
+    /// Builds the rank vector (lower rank = preferred) from a prebuilt
+    /// CSR mirror: cost-keyed orders sort the cost arrays' bit patterns
+    /// (see [`sws_listsched::priority::spt_priority_csr`]). Bottom-level
     /// priorities derive summed levels from the graph, so that arm
-    /// still walks the nested graph.
+    /// walks the nested graph.
     pub fn rank_csr(&self, graph: &TaskGraph, csr: &CsrDag) -> PriorityRank {
         match self {
             PriorityOrder::BottomLevel => hlf_priority(graph),
@@ -273,20 +262,13 @@ fn memory_lb(tasks: &TaskSet, m: usize) -> f64 {
     }
 }
 
-/// Validates `∆` and computes `(LB, ∆·LB)` for an instance.
-fn delta_lb_cap(tasks: &TaskSet, m: usize, config: &RlsConfig) -> Result<(f64, f64), ModelError> {
-    validate_rls_delta(config.delta)?;
-    let lb = memory_lb(tasks, m);
-    Ok((lb, config.delta * lb))
-}
-
 /// The one cold RLS∆ run behind every entry point: checks `∆ > 2`,
 /// caps memory at `∆·LB`, resets `admission` to that cap, runs the
 /// kernel over `csr` with the buffers of `ws` and packages the
 /// [`RlsResult`].
 ///
 /// The kernel marks processors from the winning probe only (the
-/// paper's "for analysis only" semantics); the [`naive::rls`] oracle
+/// paper's "for analysis only" semantics); the `sws_oracle::rls` oracle
 /// marks conservatively while evaluating every candidate, so the
 /// kernel's marked set is a subset of the oracle's and both satisfy the
 /// Lemma 4 bound.
@@ -366,8 +348,8 @@ pub fn rls_independent_in(
 /// This is the per-worker building block of the incremental ∆-sweeps in
 /// [`crate::pareto_sweep`].
 #[derive(Debug)]
-pub struct RlsEngine<'a> {
-    inst: &'a DagInstance,
+pub struct RlsEngine {
+    m: usize,
     order: PriorityOrder,
     rank: std::sync::Arc<PriorityRank>,
     /// Flat CSR mirror of the instance, built once per engine and shared
@@ -384,32 +366,21 @@ pub struct RlsEngine<'a> {
     last: Option<CheckpointedRun>,
 }
 
-impl<'a> RlsEngine<'a> {
+impl RlsEngine {
     /// An engine with no warm state yet; the first [`RlsEngine::run`]
     /// is a cold run.
-    pub fn new(inst: &'a DagInstance, order: PriorityOrder) -> Self {
+    pub fn new(inst: &DagInstance, order: PriorityOrder) -> Self {
         let csr = std::sync::Arc::new(inst.csr());
         let rank = std::sync::Arc::new(order.rank_csr(inst.graph(), &csr));
         Self::with_parts(inst, order, rank, csr)
     }
 
     /// Like [`RlsEngine::new`], but with a precomputed priority rank for
-    /// `order` on this instance — lets a sweep share one rank across its
-    /// per-worker chains instead of recomputing the same DAG traversal
-    /// per worker.
-    pub fn with_rank(
-        inst: &'a DagInstance,
-        order: PriorityOrder,
-        rank: std::sync::Arc<PriorityRank>,
-    ) -> Self {
-        Self::with_parts(inst, order, rank, std::sync::Arc::new(inst.csr()))
-    }
-
-    /// Like [`RlsEngine::with_rank`], but additionally sharing a
-    /// prebuilt CSR instance mirror — lets a sweep flatten the instance
-    /// once for all its per-worker chains.
+    /// `order` on this instance and a prebuilt CSR instance mirror —
+    /// lets a sweep rank and flatten the instance once for all its
+    /// per-worker chains. The engine keeps no reference to `inst`.
     pub fn with_parts(
-        inst: &'a DagInstance,
+        inst: &DagInstance,
         order: PriorityOrder,
         rank: std::sync::Arc<PriorityRank>,
         csr: std::sync::Arc<CsrDag>,
@@ -417,7 +388,7 @@ impl<'a> RlsEngine<'a> {
         assert_eq!(csr.n(), inst.n(), "CSR mirror must match the instance");
         let m = inst.m();
         RlsEngine {
-            inst,
+            m,
             order,
             rank,
             csr,
@@ -441,8 +412,8 @@ impl<'a> RlsEngine<'a> {
         let run = match &self.last {
             Some(prev) => prev.resume_in(cap, &mut self.ws)?,
             None => CheckpointedRun::cold_in(
-                self.inst,
                 std::sync::Arc::clone(&self.csr),
+                self.m,
                 std::sync::Arc::clone(&self.rank),
                 cap,
                 &mut self.ws,
@@ -453,7 +424,7 @@ impl<'a> RlsEngine<'a> {
             lb: self.lb,
             memory_cap: cap,
             marked: run.outcome().marked.clone(),
-            guarantee: rls_guarantee(delta, self.inst.m()),
+            guarantee: rls_guarantee(delta, self.m),
             config,
         };
         self.last = Some(run);
@@ -473,7 +444,7 @@ impl<'a> RlsEngine<'a> {
         };
         run_cold(
             &self.csr,
-            self.inst.m(),
+            self.m,
             self.lb,
             &self.rank,
             config,
@@ -488,141 +459,6 @@ impl<'a> RlsEngine<'a> {
     /// telemetry.
     pub fn replayed_rounds(&self) -> Option<usize> {
         self.last.as_ref().map(CheckpointedRun::replayed_rounds)
-    }
-}
-
-/// The original `O(n²·m)` implementation of RLS∆, retained verbatim as
-/// the differential-testing oracle for the kernel path (only the ad-hoc
-/// float tolerances were replaced by the shared
-/// [`sws_model::numeric`] helpers).
-pub mod naive {
-    use sws_model::numeric::{approx_le, better_candidate};
-
-    use super::*;
-
-    /// Naive RLS∆: each round rescans every unscheduled task and every
-    /// processor. Produces the same schedule as [`super::rls_in`]; its
-    /// `marked` set is a superset (it marks while evaluating every
-    /// candidate, not just the selected one) that still satisfies the
-    /// Lemma 4 bound.
-    pub fn rls(inst: &DagInstance, config: &RlsConfig) -> Result<RlsResult, ModelError> {
-        let graph = inst.graph();
-        let tasks = inst.tasks();
-        let n = graph.n();
-        let m = inst.m();
-        let (lb, cap) = delta_lb_cap(tasks, m, config)?;
-        let rank = config.order.rank(graph);
-
-        let mut load = vec![0.0f64; m];
-        let mut memsize = vec![0.0f64; m];
-        let mut marked = vec![false; m];
-        let mut scheduled = vec![false; n];
-        let mut completion = vec![0.0f64; n];
-        let mut remaining_preds: Vec<usize> = (0..n).map(|i| graph.in_degree(i)).collect();
-        let mut proc_of = vec![0usize; n];
-        let mut start = vec![0.0f64; n];
-
-        for _round in 0..n {
-            // For every ready task, find the least-loaded processor whose
-            // memory stays within ∆·LB, and the earliest start time
-            // there. `best` holds (ready time, tie-break rank, task,
-            // processor).
-            let mut best: Option<(f64, u32, usize, usize)> = None;
-            for i in 0..n {
-                if scheduled[i] || remaining_preds[i] != 0 {
-                    continue;
-                }
-                let s_i = tasks.get(i).s;
-                let choice = admissible_argmin(&load, &memsize, s_i, cap);
-                let j = match choice {
-                    Some(j) => j,
-                    // Mathematically impossible for ∆ > 2 (the Lemma 4
-                    // counting argument), but guard against degenerate
-                    // floating-point inputs rather than looping forever.
-                    // The error names the fullest processor (lowest
-                    // index on ties), as the kernel's does.
-                    None => {
-                        let mut proc = 0;
-                        for q in 1..m {
-                            if exceeds(memsize[q], memsize[proc]) {
-                                proc = q;
-                            }
-                        }
-                        return Err(ModelError::MemoryExceeded {
-                            proc,
-                            used: memsize[proc] + s_i,
-                            capacity: cap,
-                        });
-                    }
-                };
-                // "for analysis only": mark every processor that was less
-                // loaded than the chosen one — it was skipped because of
-                // the memory restriction.
-                for (q, &l) in load.iter().enumerate() {
-                    if l < load[j] && !approx_le(memsize[q] + s_i, cap) {
-                        marked[q] = true;
-                    }
-                }
-                let pred_ready = graph
-                    .preds(i)
-                    .iter()
-                    .map(|&p| completion[p])
-                    .fold(0.0f64, f64::max);
-                let ready = pred_ready.max(load[j]);
-                let candidate = (ready, rank[i], i, j);
-                let better = match best {
-                    None => true,
-                    Some(cur) => {
-                        better_candidate(candidate.0, candidate.1 as usize, cur.0, cur.1 as usize)
-                    }
-                };
-                if better {
-                    best = Some(candidate);
-                }
-            }
-            let (ready, _rank, i, j) =
-                best.expect("an acyclic graph always has a ready task while tasks remain");
-            proc_of[i] = j;
-            start[i] = ready;
-            completion[i] = ready + tasks.get(i).p;
-            load[j] = completion[i];
-            memsize[j] += tasks.get(i).s;
-            scheduled[i] = true;
-            for &v in graph.succs(i) {
-                remaining_preds[v] -= 1;
-            }
-        }
-
-        let schedule = TimedSchedule::new(proc_of, start, m)?;
-        Ok(RlsResult {
-            schedule,
-            lb,
-            memory_cap: cap,
-            marked,
-            guarantee: rls_guarantee(config.delta, m),
-            config: *config,
-        })
-    }
-
-    /// Index of the least-loaded processor whose memory stays within
-    /// `cap` after adding `s`; ties broken towards the lowest index.
-    /// `None` when no processor is admissible.
-    fn admissible_argmin(load: &[f64], memsize: &[f64], s: f64, cap: f64) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for q in 0..load.len() {
-            if !approx_le(memsize[q] + s, cap) {
-                continue;
-            }
-            match best {
-                None => best = Some(q),
-                Some(b) => {
-                    if load[q] < load[b] {
-                        best = Some(q);
-                    }
-                }
-            }
-        }
-        best
     }
 }
 
@@ -848,42 +684,6 @@ mod tests {
             )
             .unwrap();
             check_feasible(&inst, &result);
-        }
-    }
-
-    /// The kernel path must agree schedule-for-schedule with the naive
-    /// oracle, and its lazily-computed marked set must be a subset of the
-    /// oracle's conservative one (the full family × order × m sweep lives
-    /// in tests/differential_kernel.rs).
-    #[test]
-    fn kernel_matches_the_naive_oracle() {
-        let mut rng = seeded_rng(15);
-        for family in [
-            DagFamily::LayeredRandom,
-            DagFamily::ForkJoin,
-            DagFamily::Erdos,
-        ] {
-            let inst = dag_workload(family, 70, 4, TaskDistribution::AntiCorrelated, &mut rng);
-            for &delta in &[2.25, 3.0, 6.0] {
-                let config = RlsConfig::new(delta);
-                let fast = rls_in(&inst, &config, &mut KernelWorkspace::new()).unwrap();
-                let slow = naive::rls(&inst, &config).unwrap();
-                assert_eq!(
-                    fast.schedule,
-                    slow.schedule,
-                    "{} ∆={delta}: kernel and naive schedules differ",
-                    family.label()
-                );
-                assert_eq!(fast.lb, slow.lb);
-                for q in 0..inst.m() {
-                    assert!(
-                        !fast.marked[q] || slow.marked[q],
-                        "{} ∆={delta}: kernel marked processor {q} the oracle did not",
-                        family.label()
-                    );
-                }
-                assert!(fast.marked_count() <= fast.marked_bound());
-            }
         }
     }
 

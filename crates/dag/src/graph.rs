@@ -189,55 +189,6 @@ impl TaskGraph {
             edge_count: self.edge_count,
         }
     }
-
-    /// The transitive reduction is not needed by the algorithms, but the
-    /// generators occasionally produce redundant edges; this removes any
-    /// edge `u → v` for which a longer path `u ⇝ v` exists. Runs in
-    /// O(n·(n+e)) which is fine for generator-sized graphs.
-    pub fn transitive_reduction(&self) -> TaskGraph {
-        let order = self
-            .topological_order()
-            .expect("transitive reduction requires an acyclic graph");
-        let n = self.n();
-        // reach[u] = set of vertices reachable from u via paths of length >= 2
-        // computed bottom-up in reverse topological order.
-        let mut reach: Vec<Vec<bool>> = vec![vec![false; n]; n];
-        for &u in order.iter().rev() {
-            for &v in &self.succs[u] {
-                // everything reachable from v is reachable from u via >= 2 hops
-                let (ru, rv) = {
-                    // split borrow
-                    let (a, b) = if u < v {
-                        let (l, r) = reach.split_at_mut(v);
-                        (&mut l[u], &r[0])
-                    } else {
-                        let (l, r) = reach.split_at_mut(u);
-                        (&mut r[0], &l[v])
-                    };
-                    (a, b)
-                };
-                for w in 0..n {
-                    if rv[w] {
-                        ru[w] = true;
-                    }
-                }
-                ru[v] = true;
-            }
-        }
-        // An edge u -> v is redundant if some other successor w of u reaches v.
-        let mut reduced = TaskGraph::new(self.tasks.clone());
-        for u in 0..n {
-            for &v in &self.succs[u] {
-                let redundant = self.succs[u].iter().any(|&w| w != v && reach[w][v]);
-                if !redundant {
-                    reduced
-                        .add_edge(u, v)
-                        .expect("edge indices already validated");
-                }
-            }
-        }
-        reduced
-    }
 }
 
 /// A precedence-constrained instance: a task graph plus the number of
@@ -337,19 +288,6 @@ impl DagInstance {
         self.graph.tasks()
     }
 
-    /// The independent-task relaxation of this instance (same tasks and
-    /// processors, precedence dropped) — used by lower bounds and by the
-    /// SBO∆ comparison baselines.
-    pub fn relaxation(&self) -> sws_model::Instance {
-        sws_model::Instance::new(self.graph.tasks().clone(), self.m)
-            .expect("m > 0 checked at construction")
-    }
-
-    /// Returns a copy with a different processor count.
-    pub fn with_processors(&self, m: usize) -> Result<DagInstance, ModelError> {
-        DagInstance::new(self.graph.clone(), m)
-    }
-
     /// Flattens the instance's graph into the kernel-friendly CSR form
     /// (see [`TaskGraph::csr`]).
     pub fn csr(&self) -> crate::csr::CsrDag {
@@ -439,38 +377,10 @@ mod tests {
     }
 
     #[test]
-    fn transitive_reduction_removes_shortcut_edges() {
-        // 0 -> 1 -> 2 plus the redundant shortcut 0 -> 2.
-        let mut g = TaskGraph::unit(3);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(1, 2).unwrap();
-        g.add_edge(0, 2).unwrap();
-        let r = g.transitive_reduction();
-        let mut edges: Vec<(usize, usize)> = r.edges().collect();
-        edges.sort();
-        assert_eq!(edges, vec![(0, 1), (1, 2)]);
-    }
-
-    #[test]
-    fn transitive_reduction_keeps_diamond_intact() {
-        let g = diamond();
-        let r = g.transitive_reduction();
-        assert_eq!(r.edge_count(), 4);
-    }
-
-    #[test]
     fn dag_instance_rejects_zero_processors_and_cycles() {
         let g = diamond();
         assert!(DagInstance::new(g.clone(), 0).is_err());
         assert!(DagInstance::new(g, 2).is_ok());
-    }
-
-    #[test]
-    fn relaxation_drops_precedence_but_keeps_tasks() {
-        let inst = DagInstance::new(diamond(), 3).unwrap();
-        let relaxed = inst.relaxation();
-        assert_eq!(relaxed.n(), 4);
-        assert_eq!(relaxed.m(), 3);
     }
 
     #[test]

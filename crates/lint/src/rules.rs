@@ -66,9 +66,12 @@ pub fn lock_discipline_scope(path: &str) -> bool {
 }
 
 /// Paths whose f64 comparisons must route through `sws_model::numeric`
-/// (bit-identity of kernel results rests on one shared tolerance).
+/// (bit-identity of kernel results rests on one shared tolerance, which
+/// the reference oracles must share too).
 pub fn float_discipline_scope(path: &str) -> bool {
-    path.starts_with("crates/core/src/") || path.starts_with("crates/listsched/src/")
+    path.starts_with("crates/core/src/")
+        || path.starts_with("crates/listsched/src/")
+        || path.starts_with("crates/oracle/src/")
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@
 //! paper (without the memory restriction) so that RLS∆ in `sws-core`
 //! differs from it only by the `memsize[j] + s_i ≤ ∆·LB` admissibility
 //! predicate. The original `O(n²·m)` scan survives as the differential
-//! oracle [`crate::naive::dag_list_schedule`].
+//! oracle `sws_oracle::dag_list_schedule`.
 
 use sws_dag::{CsrDag, DagInstance};
 use sws_model::schedule::TimedSchedule;
@@ -165,26 +165,6 @@ mod tests {
                 load[q]
             );
             load[q] = sched.start(i) + inst.tasks().get(i).p;
-        }
-    }
-
-    /// The kernel path must agree schedule-for-schedule with the naive
-    /// oracle (broader coverage lives in tests/properties.rs).
-    #[test]
-    fn kernel_matches_the_naive_oracle_on_structured_graphs() {
-        for g in [
-            gaussian_elimination(6),
-            fft_butterfly(4),
-            diamond_grid(4, 6),
-        ] {
-            for &m in &[2usize, 3, 5] {
-                let inst = DagInstance::new(g.clone(), m).unwrap();
-                for rank in [index_priority(inst.n()), hlf_priority(inst.graph())] {
-                    let kernel = dag_list_schedule(&inst, &rank);
-                    let naive = crate::naive::dag_list_schedule(&inst, &rank);
-                    assert_eq!(kernel, naive, "kernel/naive mismatch at m={m}");
-                }
-            }
         }
     }
 }

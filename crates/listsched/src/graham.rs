@@ -21,7 +21,7 @@ use crate::kernel::ProcHeap;
 ///
 /// Runs on the event-driven kernel's indexed processor heap
 /// ([`crate::kernel::ProcHeap`]): `O(n·log m)` instead of the naive
-/// `O(n·m)` scan (kept as [`crate::naive::list_schedule`]), with the same
+/// `O(n·m)` scan (kept as `sws_oracle::list_schedule`), with the same
 /// lowest-index tie-break.
 pub fn list_schedule(weights: &[f64], m: usize, order: &[usize]) -> Assignment {
     // Empty heap: `list_schedule_with` sizes it, so the one-shot path

@@ -88,7 +88,7 @@
 //!
 //! Tie-breaking uses the same shared comparator
 //! ([`sws_model::numeric::better_candidate`]) as the retained naive
-//! oracles (`crate::naive`, `sws_core::rls::naive`), so kernel and naive
+//! oracles (the dev-only `sws_oracle` crate), so kernel and naive
 //! paths select identical tasks wherever the comparator's tolerance-based
 //! tie relation is transitive — which the differential test-suite checks
 //! schedule-for-schedule across every generator family. The one
@@ -1823,28 +1823,20 @@ impl CheckpointedRun {
     /// [`CheckpointedRun::cold_in`] (fresh CSR mirror and workspace).
     pub fn cold(inst: &DagInstance, rank: Arc<PriorityRank>, cap: f64) -> Result<Self, ModelError> {
         let mut ws = KernelWorkspace::with_capacity(inst.n(), inst.m());
-        Self::cold_in(inst, Arc::new(inst.csr()), rank, cap, &mut ws)
+        Self::cold_in(Arc::new(inst.csr()), inst.m(), rank, cap, &mut ws)
     }
 
-    /// [`CheckpointedRun::cold`] with an explicit shared CSR mirror and
-    /// reusable workspace — the sweep-engine path, where one chain runs
-    /// many caps over one instance.
+    /// [`CheckpointedRun::cold`] over a shared CSR instance on `m`
+    /// processors with a reusable workspace — the sweep-engine path,
+    /// where one chain runs many caps over one instance.
     pub fn cold_in(
-        inst: &DagInstance,
         csr: Arc<CsrDag>,
+        m: usize,
         rank: Arc<PriorityRank>,
         cap: f64,
         ws: &mut KernelWorkspace,
     ) -> Result<Self, ModelError> {
-        assert_eq!(csr.n(), inst.n(), "CSR mirror must match the instance");
-        Self::start(
-            csr,
-            inst.m(),
-            rank,
-            cap,
-            SnapshotPolicy::RejectingStrides,
-            ws,
-        )
+        Self::start(csr, m, rank, cap, SnapshotPolicy::RejectingStrides, ws)
     }
 
     /// A from-scratch replan-session run over `csr` on `m` processors
@@ -2585,8 +2577,8 @@ mod tests {
         let csr = Arc::new(inst.csr());
         let mut ws = KernelWorkspace::new();
         let mut chain = CheckpointedRun::cold_in(
-            &inst,
             Arc::clone(&csr),
+            inst.m(),
             Arc::clone(&rank),
             2.25 * lb,
             &mut ws,
@@ -2721,8 +2713,8 @@ mod tests {
         let csr = Arc::new(inst.csr());
         let mut ws = KernelWorkspace::new();
         let mut run = CheckpointedRun::cold_in(
-            &inst,
             Arc::clone(&csr),
+            inst.m(),
             Arc::clone(&rank),
             1.01 * lb,
             &mut ws,
@@ -3200,7 +3192,7 @@ mod tests {
             let rank = Arc::new(index_priority(n));
             let csr = Arc::new(inst.csr());
             let mut ws = KernelWorkspace::new();
-            let sweep = CheckpointedRun::cold_in(&inst, Arc::clone(&csr), Arc::clone(&rank), cap, &mut ws);
+            let sweep = CheckpointedRun::cold_in(Arc::clone(&csr), m, Arc::clone(&rank), cap, &mut ws);
             let session = CheckpointedRun::session(csr, m, rank, cap, &mut ws);
             let (sweep, session) = match (sweep, session) {
                 (Ok(a), Ok(b)) => (a, b),

@@ -23,9 +23,10 @@
 //!   Lemma-4 marking — `O((n + E)·log n + n·log m)` plus `O(log n)` per
 //!   pending tie group a contested round pops (when admission
 //!   rejections are rare; see `kernel`'s module docs for both costs)
-//!   instead of the naive `O(n²·m)`;
-//! * [`naive`] — the original quadratic implementations, retained as
-//!   differential-testing oracles for the kernel.
+//!   instead of the naive `O(n²·m)`.
+//!
+//! The original quadratic implementations, which the kernel must match
+//! schedule for schedule, live in the dev-only `sws_oracle` crate.
 
 #![forbid(unsafe_code)]
 
@@ -34,7 +35,6 @@ pub mod graham;
 pub mod kernel;
 pub mod lpt;
 pub mod multifit;
-pub mod naive;
 pub mod priority;
 pub mod spt;
 

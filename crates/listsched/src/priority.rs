@@ -7,12 +7,13 @@
 //!
 //! Ranks are `u32` (the CSR layer guarantees `n < u32::MAX`), which
 //! halves the rank-array cache traffic in the kernel's hot loop. The
-//! cost-keyed orders (SPT/LPT/largest-storage) have `*_csr` variants
-//! that sort the costs' IEEE-754 bit patterns instead of calling an
-//! `f64` comparator: costs are finite and non-negative, where the bit
-//! pattern orders like the value, so the permutation is identical, just
-//! cheaper to compute (integer sort keys packed with the tie-break index
-//! into one `u128`).
+//! cost-keyed orders (SPT/LPT/largest-storage) read the flat CSR cost
+//! arrays and sort the costs' IEEE-754 bit patterns instead of calling
+//! an `f64` comparator: costs are finite and non-negative, where the bit
+//! pattern orders like the value, so the permutation is that of the
+//! comparator (integer sort keys packed with the tie-break index into
+//! one `u128`). The comparator versions over the nested `TaskGraph`
+//! survive as references in the dev-only `sws_oracle` crate.
 
 use sws_dag::{CsrDag, TaskGraph};
 use sws_model::numeric::finite_ge;
@@ -50,35 +51,6 @@ pub fn hlf_priority(graph: &TaskGraph) -> PriorityRank {
     rank_of_order(&order)
 }
 
-/// Shortest Processing Time priority (used by the tri-objective extension
-/// on independent tasks, Corollary 4).
-pub fn spt_priority(graph: &TaskGraph) -> PriorityRank {
-    let mut order: Vec<usize> = (0..graph.n()).collect();
-    order.sort_by(|&a, &b| {
-        sws_model::numeric::total_cmp(graph.task(a).p, graph.task(b).p).then(a.cmp(&b))
-    });
-    rank_of_order(&order)
-}
-
-/// Longest Processing Time priority.
-pub fn lpt_priority(graph: &TaskGraph) -> PriorityRank {
-    let mut order: Vec<usize> = (0..graph.n()).collect();
-    order.sort_by(|&a, &b| {
-        sws_model::numeric::total_cmp(graph.task(b).p, graph.task(a).p).then(a.cmp(&b))
-    });
-    rank_of_order(&order)
-}
-
-/// Largest storage requirement first — a memory-aware tie break that tends
-/// to spread big-memory tasks before processors fill up.
-pub fn largest_storage_priority(graph: &TaskGraph) -> PriorityRank {
-    let mut order: Vec<usize> = (0..graph.n()).collect();
-    order.sort_by(|&a, &b| {
-        sws_model::numeric::total_cmp(graph.task(b).s, graph.task(a).s).then(a.cmp(&b))
-    });
-    rank_of_order(&order)
-}
-
 /// Ranks tasks by packed `((cost bits << 32) | task)` integer sort
 /// keys: one `u128` sort, ties broken towards the lower task index. On
 /// finite non-negative costs the bit pattern orders like the value, and
@@ -104,20 +76,23 @@ fn rank_by_cost_bits(costs: &[f64], descending: bool) -> PriorityRank {
     rank
 }
 
-/// [`spt_priority`] over the flat instance mirror: the same permutation
-/// from an integer sort of the processing times' bit patterns.
+/// Shortest Processing Time priority (used by the tri-objective
+/// extension on independent tasks, Corollary 4) over the flat instance
+/// mirror: tasks by increasing processing time, ties by index, from an
+/// integer sort of the processing times' bit patterns.
 pub fn spt_priority_csr(csr: &CsrDag) -> PriorityRank {
     rank_by_cost_bits(csr.proc_times(), false)
 }
 
-/// [`lpt_priority`] over the flat instance mirror (see
+/// Longest Processing Time priority over the flat instance mirror (see
 /// [`spt_priority_csr`]).
 pub fn lpt_priority_csr(csr: &CsrDag) -> PriorityRank {
     rank_by_cost_bits(csr.proc_times(), true)
 }
 
-/// [`largest_storage_priority`] over the flat instance mirror (see
-/// [`spt_priority_csr`]).
+/// Largest storage requirement first — a memory-aware tie break that
+/// tends to spread big-memory tasks before processors fill up — over the
+/// flat instance mirror (see [`spt_priority_csr`]).
 pub fn largest_storage_priority_csr(csr: &CsrDag) -> PriorityRank {
     rank_by_cost_bits(csr.mem_sizes(), true)
 }
@@ -154,57 +129,5 @@ mod tests {
         // Bottom levels: task0 = 6, task1 = 5, task2 = 2 -> order 0, 1, 2.
         let rank = hlf_priority(&g);
         assert_eq!(rank, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn spt_and_lpt_priorities_are_reversed() {
-        let g = weighted_chain();
-        let spt = spt_priority(&g);
-        let lpt = lpt_priority(&g);
-        // p = [1, 3, 2]: SPT order 0, 2, 1 -> ranks [0, 2, 1];
-        // LPT order 1, 2, 0 -> ranks [2, 0, 1].
-        assert_eq!(spt, vec![0, 2, 1]);
-        assert_eq!(lpt, vec![2, 0, 1]);
-    }
-
-    #[test]
-    fn storage_priority_prefers_heavy_tasks() {
-        let g = weighted_chain();
-        // s = [5, 1, 3] -> order 0, 2, 1 -> ranks [0, 2, 1].
-        assert_eq!(largest_storage_priority(&g), vec![0, 2, 1]);
-    }
-
-    #[test]
-    fn csr_priorities_match_the_graph_versions() {
-        let g = weighted_chain();
-        let csr = g.csr();
-        assert_eq!(spt_priority_csr(&csr), spt_priority(&g));
-        assert_eq!(lpt_priority_csr(&csr), lpt_priority(&g));
-        assert_eq!(
-            largest_storage_priority_csr(&csr),
-            largest_storage_priority(&g)
-        );
-    }
-
-    #[test]
-    fn csr_priorities_match_on_duplicate_costs_and_saturated_tables() {
-        // Duplicate p/s values force index tie-breaks, and zeros of both
-        // signs must tie like the equal costs they are.
-        let zero = |i: usize| if i.is_multiple_of(2) { 0.0 } else { -0.0 };
-        let tasks = TaskSet::new(
-            (0..16)
-                .map(|i| Task::new_unchecked(1.0 + (i % 3) as f64, 4.0 - (i % 2) as f64))
-                .chain((0..6).map(|i| Task::new_unchecked(zero(i), zero(i / 2))))
-                .collect(),
-        )
-        .unwrap();
-        let g = TaskGraph::new(tasks);
-        let csr = g.csr();
-        assert_eq!(spt_priority_csr(&csr), spt_priority(&g));
-        assert_eq!(lpt_priority_csr(&csr), lpt_priority(&g));
-        assert_eq!(
-            largest_storage_priority_csr(&csr),
-            largest_storage_priority(&g)
-        );
     }
 }

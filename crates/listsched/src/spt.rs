@@ -4,7 +4,7 @@
 //! identical processors — the fact Section 5.2 of the paper builds on
 //! ("Recall that a List Scheduling using SPT is optimal on ΣCi").
 
-use sws_model::schedule::{Assignment, TimedSchedule};
+use sws_model::schedule::TimedSchedule;
 use sws_model::Instance;
 
 use crate::graham::list_schedule;
@@ -14,14 +14,6 @@ pub fn spt_order(weights: &[f64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..weights.len()).collect();
     order.sort_by(|&a, &b| sws_model::numeric::total_cmp(weights[a], weights[b]).then(a.cmp(&b)));
     order
-}
-
-/// SPT assignment (mapping only): Graham list scheduling with tasks in
-/// increasing processing-time order.
-pub fn spt_assignment(inst: &Instance) -> Assignment {
-    let weights: Vec<f64> = (0..inst.n()).map(|i| inst.p(i)).collect();
-    let order = spt_order(&weights);
-    list_schedule(&weights, inst.m(), &order)
 }
 
 /// SPT timed schedule: tasks are executed on their processor in SPT order,

@@ -68,12 +68,6 @@ impl CancelProbe {
         }
     }
 
-    /// Adds a cancellation flag to this probe.
-    pub fn and_flag(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.flag = Some(flag);
-        self
-    }
-
     /// Adds an absolute deadline to this probe.
     pub fn and_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);

@@ -194,10 +194,6 @@ pub struct RetryPolicy {
     pub jitter: f64,
     /// Seed for the deterministic jitter sequence.
     pub jitter_seed: u64,
-    /// On the final failed attempt, step the guarantee down to the
-    /// tenant's [`TenantPolicy::guarantee_floor`] (never below it) and
-    /// try once more at the cheaper class before giving up.
-    pub degrade_on_exhaustion: bool,
 }
 
 impl RetryPolicy {
@@ -209,7 +205,6 @@ impl RetryPolicy {
             max_backoff: Duration::ZERO,
             jitter: 0.0,
             jitter_seed: 0,
-            degrade_on_exhaustion: false,
         }
     }
 
@@ -222,7 +217,6 @@ impl RetryPolicy {
             max_backoff: Duration::from_millis(100),
             jitter: 0.1,
             jitter_seed: 0x5157_2e8a_9d1c_f00d,
-            degrade_on_exhaustion: false,
         }
     }
 
@@ -237,12 +231,6 @@ impl RetryPolicy {
     pub fn with_jitter(mut self, jitter: f64, seed: u64) -> Self {
         self.jitter = jitter.clamp(0.0, 1.0);
         self.jitter_seed = seed;
-        self
-    }
-
-    /// Enables the degradation ladder on exhaustion.
-    pub fn with_degrade_on_exhaustion(mut self, degrade: bool) -> Self {
-        self.degrade_on_exhaustion = degrade;
         self
     }
 

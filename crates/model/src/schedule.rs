@@ -8,7 +8,6 @@
 use std::sync::Arc;
 
 use crate::error::ModelError;
-use crate::instance::Instance;
 use crate::numeric::kahan_sum;
 use crate::task::TaskSet;
 
@@ -302,19 +301,6 @@ impl TimedSchedule {
     /// schedule's own makespan.
     pub fn total_idle(&self, tasks: &TaskSet) -> f64 {
         self.m as f64 * self.cmax(tasks) - tasks.total_work()
-    }
-}
-
-/// Convenience: evaluate a schedule produced for a given instance.
-impl TimedSchedule {
-    /// Makespan against the instance's task set.
-    pub fn cmax_for(&self, inst: &Instance) -> f64 {
-        self.cmax(inst.tasks())
-    }
-
-    /// Maximum cumulative memory against the instance's task set.
-    pub fn mmax_for(&self, inst: &Instance) -> f64 {
-        crate::numeric::max_or_zero(self.memory(inst.tasks()))
     }
 }
 

@@ -266,8 +266,6 @@ pub enum BackendId {
     /// Event-driven kernel warm-started across instance deltas (the
     /// incremental replanning engine, `sws_core::replan`).
     KernelReplan,
-    /// The retained `O(n²m)` RLS∆ differential oracle.
-    NaiveRls,
     /// SBO∆ (Algorithm 1) over single-objective inner schedules.
     Sbo,
     /// Longest Processing Time first.
@@ -297,7 +295,6 @@ impl BackendId {
             BackendId::KernelRls => "kernel-rls",
             BackendId::KernelTriRls => "kernel-tri-rls",
             BackendId::KernelReplan => "kernel-replan",
-            BackendId::NaiveRls => "naive-rls",
             BackendId::Sbo => "sbo",
             BackendId::Lpt => "lpt",
             BackendId::Graham => "graham",
@@ -428,8 +425,6 @@ pub enum CostModel {
     /// An outer search multiplying an inner schedule cost (the SBO∆
     /// binary search of Section 7).
     InnerSearch,
-    /// The retained `O(n²m)` naive oracle.
-    Quadratic,
 }
 
 impl CostModel {
@@ -441,7 +436,6 @@ impl CostModel {
             CostModel::Enumeration => "enumeration",
             CostModel::ConfigDp => "config-dp",
             CostModel::InnerSearch => "inner-search",
-            CostModel::Quadratic => "quadratic",
         }
     }
 }

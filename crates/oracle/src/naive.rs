@@ -4,20 +4,19 @@
 //! all unscheduled tasks and all processors. They are kept verbatim (only
 //! the ad-hoc float tolerances were replaced by the shared
 //! [`sws_model::numeric`] helpers) as *differential-testing oracles* for
-//! [`crate::kernel`]: the kernel must produce schedule-for-schedule
-//! identical results. Production callers should use
-//! [`crate::dag_list_schedule`] / [`crate::list_schedule`], which run on
-//! the kernel.
+//! `sws_listsched::kernel`: the kernel must produce schedule-for-schedule
+//! identical results. Production callers use
+//! `sws_listsched::dag_list_schedule` / `sws_listsched::list_schedule`,
+//! which run on the kernel.
 
 use sws_dag::DagInstance;
+use sws_listsched::priority::PriorityRank;
 use sws_model::numeric::better_candidate;
 use sws_model::schedule::{Assignment, TimedSchedule};
 
-use crate::priority::PriorityRank;
-
 /// Index of the minimum element (ties broken by the lowest index, which
 /// keeps the algorithm deterministic).
-pub(crate) fn argmin(values: &[f64]) -> usize {
+fn argmin(values: &[f64]) -> usize {
     let mut best = 0usize;
     for (i, &v) in values.iter().enumerate().skip(1) {
         if v < values[best] {
@@ -101,8 +100,8 @@ pub fn dag_list_schedule(inst: &DagInstance, priority: &PriorityRank) -> TimedSc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::priority::index_priority;
     use sws_dag::prelude::*;
+    use sws_listsched::priority::{hlf_priority, index_priority};
 
     #[test]
     fn argmin_prefers_the_lowest_index_on_ties() {
@@ -121,5 +120,25 @@ mod tests {
         let inst = DagInstance::new(chain(4), 2).unwrap();
         let sched = dag_list_schedule(&inst, &index_priority(4));
         assert!((sched.cmax(inst.tasks()) - 4.0).abs() < 1e-9);
+    }
+
+    /// The kernel path must agree schedule-for-schedule with the naive
+    /// oracle (broader coverage lives in tests/differential_kernel.rs).
+    #[test]
+    fn kernel_matches_the_naive_oracle_on_structured_graphs() {
+        for g in [
+            gaussian_elimination(6),
+            fft_butterfly(4),
+            diamond_grid(4, 6),
+        ] {
+            for &m in &[2usize, 3, 5] {
+                let inst = DagInstance::new(g.clone(), m).unwrap();
+                for rank in [index_priority(inst.n()), hlf_priority(inst.graph())] {
+                    let kernel = sws_listsched::dag_list_schedule(&inst, &rank);
+                    let naive = dag_list_schedule(&inst, &rank);
+                    assert_eq!(kernel, naive, "kernel/naive mismatch at m={m}");
+                }
+            }
+        }
     }
 }

@@ -230,11 +230,6 @@ impl FaultPlan {
         self.decides(Self::fingerprint(req), SALT_PANIC, self.panic_rate)
     }
 
-    /// Whether this plan stalls the request.
-    pub fn delays_on(&self, req: &SolveRequest) -> bool {
-        self.decides(Self::fingerprint(req), SALT_DELAY, self.delay_rate)
-    }
-
     /// Whether this plan fails the request with a spurious error.
     pub fn errors_on(&self, req: &SolveRequest) -> bool {
         self.decides(Self::fingerprint(req), SALT_ERROR, self.error_rate)

@@ -57,8 +57,7 @@
 //! * **Retry with backoff.** A tenant's
 //!   [`RetryPolicy`](sws_model::policy::RetryPolicy) re-queues
 //!   transiently-failed attempts (backend panics; queue-full submits
-//!   retry on the caller's thread) with capped exponential backoff,
-//!   optionally degrading the guarantee once the budget is exhausted.
+//!   retry on the caller's thread) with capped exponential backoff.
 //!
 //! # Shutdown
 //!
@@ -961,7 +960,7 @@ fn resolve_job(shared: &Shared, dispatcher: &mut DispatchWorker<'_>, job: Box<Jo
         Err(payload) => {
             // The backend panicked. Quarantine the workspace (the
             // unwound solve may have left its buffers mid-run), then
-            // run the tenant's retry/degradation ladder — the worker
+            // run the tenant's retry ladder — the worker
             // itself never dies.
             dispatcher.reset_workspace();
             let message = panic_message(&*payload);
@@ -985,19 +984,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The retry/degradation ladder for a panicked attempt. Returns `None`
-/// when the job went back into the queue for another attempt, or
+/// The retry ladder for a panicked attempt. Returns `None` when the job
+/// went back into the queue for another attempt, or
 /// `Some((job, outcome))` when the failure is terminal.
 ///
-/// The ladder, in order:
-/// 1. while the tenant's [`RetryPolicy`](sws_model::policy::RetryPolicy)
-///    has attempts left: sleep the capped exponential backoff (clipped
-///    to the job's deadline) and re-queue;
-/// 2. once exhausted, if the policy degrades on exhaustion and the
-///    guarantee floor admits `PaperRatio`: re-plan at the weaker
-///    guarantee — routing around the panicking backend — and spend one
-///    final attempt there;
-/// 3. otherwise resolve to [`ServiceError::SolverPanicked`].
+/// While the tenant's [`RetryPolicy`](sws_model::policy::RetryPolicy)
+/// has attempts left, sleep the capped exponential backoff (clipped to
+/// the job's deadline) and re-queue; once exhausted, resolve to
+/// [`ServiceError::SolverPanicked`].
 #[allow(clippy::boxed_local)]
 fn retry_after_panic(
     shared: &Shared,
@@ -1009,33 +1003,12 @@ fn retry_after_panic(
     let retry = entry.policy.retry;
     let attempts_made = job.attempt + 1;
 
-    let requeue = if retry.should_retry(attempts_made) {
+    if retry.should_retry(attempts_made) {
         let mut backoff = retry.backoff_for(attempts_made);
         if let Some(deadline) = job.deadline {
             backoff = backoff.min(deadline.saturating_duration_since(Instant::now()));
         }
         std::thread::sleep(backoff);
-        true
-    } else if retry.degrade_on_exhaustion {
-        // One extra attempt at the degraded guarantee; `degrade_plan`
-        // returns `None` once the job already runs at `PaperRatio` or
-        // weaker, so the ladder cannot loop.
-        match degrade_plan(shared, &entry.policy, &job) {
-            Some((effective, plan)) => {
-                Counters::bump(&counters.degraded);
-                Counters::bump(&shared.global.degraded);
-                job.effective = effective;
-                job.work = work_units(plan.cost.work);
-                job.plan = plan;
-                true
-            }
-            None => false,
-        }
-    } else {
-        false
-    };
-
-    if requeue {
         Counters::bump(&counters.retried);
         Counters::bump(&shared.global.retried);
         job.attempt = attempts_made;
@@ -1053,33 +1026,6 @@ fn retry_after_panic(
     Counters::bump(&shared.global.panicked);
     let backend = job.plan.backend;
     Some((job, Err(ServiceError::SolverPanicked { backend, message })))
-}
-
-/// The degraded `(guarantee, plan)` for a job whose retry budget is
-/// exhausted — `PaperRatio`, when the tenant's floor admits it and the
-/// job was running at something stronger. Mirrors the admission-time
-/// degradation ladder of [`Shared::decide`].
-fn degrade_plan(
-    shared: &Shared,
-    policy: &TenantPolicy,
-    job: &Job,
-) -> Option<(Guarantee, SolvePlan)> {
-    let stronger = matches!(
-        job.effective,
-        Guarantee::Exact | Guarantee::EpsilonOptimal(_)
-    );
-    if !stronger || !Guarantee::PaperRatio.satisfies(&policy.guarantee_floor) {
-        return None;
-    }
-    let req = job
-        .request
-        .instance
-        .as_request(job.request.objective, Guarantee::PaperRatio);
-    shared
-        .portfolio
-        .plan(&req)
-        .ok()
-        .map(|plan| (Guarantee::PaperRatio, plan))
 }
 
 /// Delivers a job's terminal outcome: releases the tenant's in-flight

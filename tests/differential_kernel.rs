@@ -1,6 +1,6 @@
 //! Differential tests: the event-driven scheduling kernel
 //! (`sws_listsched::kernel`) against the retained naive `O(n²·m)` oracles
-//! (`sws_listsched::naive`, `sws_core::rls::naive`).
+//! (the dev-only `sws_oracle` crate).
 //!
 //! The kernel claims *schedule-for-schedule* equivalence — same
 //! tie-breaking, same placements, identical objective points — across
@@ -13,15 +13,16 @@
 use std::time::Instant;
 
 use sws_core::pareto_sweep::{rls_sweep, sbo_sweep};
-use sws_core::rls::{naive, rls_guarantee, rls_in, PriorityOrder, RlsConfig};
+use sws_core::rls::{rls_guarantee, rls_in, PriorityOrder, RlsConfig};
 use sws_core::sbo::InnerAlgorithm;
 use sws_core::tri::tri_objective_rls_in;
 use sws_dag::DagInstance;
-use sws_listsched::priority::{hlf_priority, index_priority, spt_priority};
-use sws_listsched::{dag_list_schedule, naive as listsched_naive, KernelWorkspace};
+use sws_listsched::priority::{hlf_priority, index_priority};
+use sws_listsched::{dag_list_schedule, KernelWorkspace};
 use sws_model::bounds::{cmax_lower_bound_prec, mmax_lower_bound};
 use sws_model::objectives::ObjectivePoint;
 use sws_model::validate::validate_timed;
+use sws_oracle::{spt_priority, GraphRank};
 use sws_workloads::dagsets::{dag_workload, DagFamily};
 use sws_workloads::random::random_instance;
 use sws_workloads::rng::{derive_seed, seeded_rng};
@@ -48,7 +49,7 @@ fn rls_kernel_matches_naive_on_every_family_order_and_m() {
                 for &delta in &[2.25, 3.0, 6.0] {
                     let config = RlsConfig::new(delta).with_order(order);
                     let fast = rls_in(&inst, &config, &mut KernelWorkspace::new()).unwrap();
-                    let slow = naive::rls(&inst, &config).unwrap();
+                    let slow = sws_oracle::rls(&inst, &config).unwrap();
                     assert_eq!(
                         fast.schedule,
                         slow.schedule,
@@ -237,7 +238,7 @@ fn dag_list_kernel_matches_naive_on_every_family() {
                 spt_priority(inst.graph()),
             ] {
                 let fast = dag_list_schedule(&inst, &rank);
-                let slow = listsched_naive::dag_list_schedule(&inst, &rank);
+                let slow = sws_oracle::dag_list_schedule(&inst, &rank);
                 assert_eq!(fast, slow, "{} m={m}: schedules differ", family.label());
             }
         }
@@ -258,7 +259,7 @@ fn graham_heap_matches_naive_argmin() {
         let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..50.0)).collect();
         let order: Vec<usize> = (0..n).collect();
         let fast = sws_listsched::list_schedule(&weights, m, &order);
-        let slow = listsched_naive::list_schedule(&weights, m, &order);
+        let slow = sws_oracle::list_schedule(&weights, m, &order);
         assert_eq!(fast, slow, "n={n} m={m}: assignments differ");
         let reused = sws_listsched::list_schedule_with(&weights, m, &order, &mut procs);
         assert_eq!(reused, slow, "n={n} m={m}: reused-heap assignment differs");
@@ -266,7 +267,7 @@ fn graham_heap_matches_naive_argmin() {
         let tied = vec![1.0; n];
         assert_eq!(
             sws_listsched::list_schedule_with(&tied, m, &order, &mut procs),
-            listsched_naive::list_schedule(&tied, m, &order)
+            sws_oracle::list_schedule(&tied, m, &order)
         );
     }
 }
@@ -328,7 +329,7 @@ fn tri_objective_matches_naive_oracle() {
         let tri = tri_objective_rls_in(&inst, delta, &mut KernelWorkspace::new()).unwrap();
         let graph = sws_dag::TaskGraph::new(inst.tasks().clone());
         let dag = DagInstance::new(graph, inst.m()).unwrap();
-        let slow = naive::rls(&dag, &RlsConfig::spt(delta)).unwrap();
+        let slow = sws_oracle::rls(&dag, &RlsConfig::spt(delta)).unwrap();
         assert_eq!(tri.rls.schedule, slow.schedule, "∆={delta}");
     }
 }

@@ -15,7 +15,7 @@ use sws_core::portfolio::Portfolio;
 use sws_core::rls::{rls_in, RlsConfig};
 use sws_core::sbo::{sbo, InnerAlgorithm, SboConfig};
 use sws_core::tri::tri_objective_rls_in;
-use sws_dag::DagInstance;
+use sws_dag::{DagInstance, TaskGraph};
 use sws_exact::branch_bound::{optimal_cmax, optimal_mmax};
 use sws_listsched::KernelWorkspace;
 use sws_model::bounds::mmax_lower_bound;
@@ -89,7 +89,7 @@ fn independent_requests(inst: &Instance) -> Vec<SolveRequest<'_>> {
 /// Contract 1: every backend that serves a request returns a feasible,
 /// complete schedule whose achieved guarantee satisfies the requested
 /// one — checked for every registered backend, not just the selected
-/// ones (the naive oracle and the never-preferred heuristics included).
+/// ones (the never-preferred heuristics included).
 #[test]
 fn every_backend_solution_validates_and_satisfies_its_request() {
     let portfolio = Portfolio::standard();
@@ -129,7 +129,6 @@ fn every_backend_solution_validates_and_satisfies_its_request() {
         BackendId::Sbo,
         BackendId::KernelRls,
         BackendId::KernelTriRls,
-        BackendId::NaiveRls,
         BackendId::Ptas,
         BackendId::ExactBranchBound,
         BackendId::ExactParetoEnum,
@@ -222,17 +221,26 @@ fn declared_guarantees_hold_on_adversarial_workloads() {
             }
         }
 
-        // The RLS∆ memory guarantee is unconditional: Mmax ≤ ∆·LB.
+        // The RLS∆ memory guarantee is unconditional: Mmax ≤ ∆·LB, for
+        // the kernel backend and for the naive oracle on the same tasks
+        // as an edgeless DAG.
+        let edgeless = DagInstance::new(TaskGraph::new(inst.tasks().clone()), inst.m()).unwrap();
         for delta in [2.25, 3.0, 6.0] {
             let req = SolveRequest::independent(inst, ObjectiveMode::BiObjective { delta });
-            for id in [BackendId::KernelRls, BackendId::NaiveRls] {
-                let solution = portfolio.backend(id).unwrap().solve(&req).unwrap();
+            let kernel = portfolio
+                .backend(BackendId::KernelRls)
+                .unwrap()
+                .solve(&req)
+                .unwrap();
+            let oracle = sws_oracle::rls(&edgeless, &RlsConfig::new(delta)).unwrap();
+            for (label, mmax) in [
+                (BackendId::KernelRls.label(), kernel.point.mmax),
+                ("oracle", oracle.objective(inst.tasks()).mmax),
+            ] {
                 let lb = mmax_lower_bound(inst.tasks(), inst.m());
                 assert!(
-                    solution.point.mmax <= delta * lb + TOL,
-                    "instance {idx}, {}: Mmax {} exceeds ∆·LB {}",
-                    id.label(),
-                    solution.point.mmax,
+                    mmax <= delta * lb + TOL,
+                    "instance {idx}, {label}: Mmax {mmax} exceeds ∆·LB {}",
                     delta * lb
                 );
             }

@@ -8,7 +8,7 @@
 //! the mutated instance. This suite drives that claim over the
 //! stateful delta streams of `sws_workloads::deltas` (arrivals with
 //! sampled predecessors, in-order completions, cost re-estimates,
-//! including the adversarial signed-zero and rank-saturating draws),
+//! including the adversarial signed-zero and extreme-magnitude draws),
 //! replays the resulting schedules through the simulator as an
 //! independent semantic oracle, and pins down that the pre-existing
 //! cap-resume machinery ([`CheckpointedRun`]) is unchanged.
@@ -140,8 +140,8 @@ fn drive_stream(
 /// Uncapped sessions: bit-identity across all three stream shapes
 /// (serving, mixed, adversarial) and several DAG families, with a
 /// simulator replay of the final schedule. The adversarial streams
-/// carry `-0.0` storage, `0.0` processing and ≥ 1e290 rank-saturating
-/// costs — exactly the draws the quantized key table must survive.
+/// carry `-0.0` storage, `0.0` processing and extreme (≥ 1e290)
+/// costs.
 #[test]
 fn replan_tracks_from_scratch_bit_for_bit_across_stream_shapes() {
     let mut ws = KernelWorkspace::new();
