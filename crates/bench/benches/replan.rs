@@ -1,13 +1,18 @@
 //! Incremental delta-replan engine vs from-scratch-per-event: the perf
 //! story of the warm-start-across-mutations rework, measured.
 //!
-//! One group, `replan_vs_from_scratch`, on the online-serving stream
-//! shape (`DeltaStreamConfig::arrivals_and_completions`, 500 events):
+//! One group, `replan_vs_from_scratch`, on two 500-event stream shapes:
+//! the online-serving shape (`DeltaStreamConfig::arrivals_and_completions`,
+//! the `500ev_{n}x{m}` rows) and, at `n = 2 500`, the mixed shape that
+//! adds processing-time and storage re-estimates
+//! (`DeltaStreamConfig::mixed`, the `500ev_mixed_2500x8` rows). A
+//! processing-time re-estimate replays from the task's placement round,
+//! so the mixed rows are the ones that time long suffix replays:
 //!
 //! * `replan` rows — a `ReplanEngine` session opened once (one cold
 //!   solve, amortized over the stream) and then `apply`ing every delta:
-//!   completions answer from the cached run, arrivals replay only from
-//!   their first-affected round;
+//!   completions answer from the cached run, arrivals and re-estimates
+//!   replay only from their first-affected round;
 //! * `from_scratch` rows — the differential oracle's cost model: the
 //!   same deltas applied to a mutable CSR with one full
 //!   `solve_from_scratch` per event through a reused
@@ -54,7 +59,7 @@ fn quick() -> bool {
 
 const EVENTS: usize = 500;
 
-fn workload(n: usize, m: usize) -> (CsrDag, Vec<CsrDelta>) {
+fn workload(n: usize, m: usize, shape: &DeltaStreamConfig) -> (CsrDag, Vec<CsrDelta>) {
     let csr = dag_workload(
         DagFamily::LayeredRandom,
         n,
@@ -63,21 +68,21 @@ fn workload(n: usize, m: usize) -> (CsrDag, Vec<CsrDelta>) {
         &mut seeded_rng(0x9E91A),
     )
     .csr();
-    let stream = delta_stream(
-        csr.n(),
-        EVENTS,
-        &DeltaStreamConfig::arrivals_and_completions(),
-        &mut seeded_rng(0xE7E27),
-    );
+    let stream = delta_stream(csr.n(), EVENTS, shape, &mut seeded_rng(0xE7E27));
     (csr, stream)
 }
 
 fn bench_replan(c: &mut Criterion) {
     let mut group = c.benchmark_group("replan_vs_from_scratch");
 
-    for &(n, m) in &[(500usize, 8usize), (2_500, 8)] {
-        let (csr, stream) = workload(n, m);
-        let label = format!("{EVENTS}ev_{n}x{m}");
+    let rows: [(&str, usize, usize, DeltaStreamConfig); 3] = [
+        ("", 500, 8, DeltaStreamConfig::arrivals_and_completions()),
+        ("", 2_500, 8, DeltaStreamConfig::arrivals_and_completions()),
+        ("mixed_", 2_500, 8, DeltaStreamConfig::mixed()),
+    ];
+    for (shape, n, m, config) in rows {
+        let (csr, stream) = workload(n, m, &config);
+        let label = format!("{EVENTS}ev_{shape}{n}x{m}");
 
         // One iteration = open the session (one cold solve, amortized
         // over the stream) + serve all 500 events warm.

@@ -55,6 +55,14 @@ use sws_model::solve::{
 /// [`KernelWorkspace`]; [`ReplanEngine::apply`] folds one [`CsrDelta`]
 /// into both and returns the schedule of the mutated instance.
 ///
+/// Every answer carries Graham's lower bounds of the live instance. The
+/// engine keeps their index-order fold in step with the instance rather
+/// than refolding all `n` tasks per event: a completion leaves it
+/// unchanged, an arrival folds in the one new task, and a re-estimate
+/// (the only delta that rewrites an existing cost) refolds it. Since
+/// every mutation updates it, a stale session's fold already matches
+/// the instance its cold re-solve runs on.
+///
 /// The session's admission policy is **fixed at open**: `None` caps
 /// nothing (Graham DAG list scheduling — the kernel run's cap `+∞`),
 /// `Some(cap)` enforces the paper's per-processor memory cap. Machines
@@ -71,6 +79,9 @@ pub struct ReplanEngine {
     completed: Vec<bool>,
     /// Scratch for the per-processor memory fold of the objective.
     memory: Vec<f64>,
+    /// The Graham bound fold of the live instance, kept in step with
+    /// every mutation instead of refolded per event.
+    totals: GrahamTotals,
     /// The cached run no longer matches the instance: a capped apply
     /// mutated the CSR and then failed (infeasible). The next event
     /// re-solves cold instead of replaying.
@@ -94,6 +105,7 @@ impl ReplanEngine {
         let mut ws = KernelWorkspace::with_capacity(n, m);
         let rank = Arc::new(index_priority(n));
         let kernel_cap = cap.unwrap_or(f64::INFINITY);
+        let totals = GrahamTotals::fold(&csr);
         let run = CheckpointedRun::session(Arc::new(csr), m, rank, kernel_cap, &mut ws)?;
         Ok(ReplanEngine {
             m,
@@ -102,6 +114,7 @@ impl ReplanEngine {
             run,
             completed: vec![false; n],
             memory: Vec::with_capacity(m),
+            totals,
             stale: false,
             events: 0,
             replayed_rounds: 0,
@@ -156,8 +169,16 @@ impl ReplanEngine {
             self.run.csr_mut().apply_delta(delta)?;
         }
         let n = self.n();
-        if kdelta == Some(ReplanDelta::Arrival) {
-            self.completed.push(false);
+        match kdelta {
+            Some(ReplanDelta::Arrival) => {
+                self.completed.push(false);
+                // The arrival takes the last index: the one step a
+                // from-scratch fold of the mutated instance ends with.
+                let csr = self.run.csr();
+                self.totals.step(csr.p(n - 1), csr.s(n - 1));
+            }
+            Some(_) => self.totals = GrahamTotals::fold(self.run.csr()),
+            None => {}
         }
         let rounds = if kdelta.is_none() && !self.stale {
             // Completion mutates neither instance nor schedule: answer
@@ -281,7 +302,8 @@ impl ReplanEngine {
     fn solution_of(&mut self, rounds: usize) -> Solution {
         let schedule = &self.run.outcome().schedule;
         let (csr, m, cap) = (self.run.csr(), self.m, self.cap);
-        solution_parts(csr, m, cap, schedule, rounds, &mut self.memory)
+        let bounds = self.totals.bounds(m);
+        solution_parts(csr, m, cap, schedule, bounds, rounds, &mut self.memory)
     }
 }
 
@@ -295,6 +317,7 @@ fn solution_parts(
     m: usize,
     cap: Option<f64>,
     schedule: &TimedSchedule,
+    bounds: BoundReport,
     rounds: usize,
     memory: &mut Vec<f64>,
 ) -> Solution {
@@ -329,7 +352,7 @@ fn solution_parts(
             backend: BackendId::KernelReplan,
             rounds,
             workspace_reused: true,
-            bounds: graham_bounds(csr, m),
+            bounds,
             cost: None,
             attempts: 1,
         },
@@ -337,24 +360,50 @@ fn solution_parts(
     }
 }
 
-/// The Graham identical-machine bounds computed directly from the CSR
-/// (`Cmax ≥ max(max p, Σp/m)`, `Mmax ≥ max(max s, Σs/m)`) — one flat
-/// pass, no task-set materialization on the per-event path.
-fn graham_bounds(csr: &CsrDag, m: usize) -> BoundReport {
-    let mut p_max = 0.0f64;
-    let mut p_sum = 0.0f64;
-    let mut s_max = 0.0f64;
-    let mut s_sum = 0.0f64;
-    for i in 0..csr.n() {
-        p_max = p_max.max(csr.p(i));
-        p_sum += csr.p(i);
-        s_max = s_max.max(csr.s(i));
-        s_sum += csr.s(i);
+/// The running fold behind the Graham identical-machine bounds
+/// (`Cmax ≥ max(max p, Σp/m)`, `Mmax ≥ max(max s, Σs/m)`), over the
+/// tasks in index order. A session keeps one in step with its instance
+/// (see [`ReplanEngine`]): a completion leaves it as it is, an arrival
+/// takes one more [`GrahamTotals::step`] (the arrival has the last
+/// index, so this is the step a from-scratch fold ends with), and a
+/// re-estimate refolds it, since a sum cannot take a term back out
+/// exactly. Every path runs the same per-task operations in the same
+/// order, so the bounds, signed zeros included, match
+/// [`solve_from_scratch`]'s fresh fold bit for bit.
+#[derive(Debug, Default)]
+struct GrahamTotals {
+    p_max: f64,
+    p_sum: f64,
+    s_max: f64,
+    s_sum: f64,
+}
+
+impl GrahamTotals {
+    /// The fold over every task of `csr`: one flat pass, no task-set
+    /// materialization.
+    fn fold(csr: &CsrDag) -> Self {
+        let mut totals = GrahamTotals::default();
+        for i in 0..csr.n() {
+            totals.step(csr.p(i), csr.s(i));
+        }
+        totals
     }
-    BoundReport {
-        cmax: p_max.max(p_sum / m as f64),
-        mmax: s_max.max(s_sum / m as f64),
-        source: BoundSource::GrahamIdentical,
+
+    /// Folds in the next task (by index).
+    fn step(&mut self, p: f64, s: f64) {
+        self.p_max = self.p_max.max(p);
+        self.p_sum += p;
+        self.s_max = self.s_max.max(s);
+        self.s_sum += s;
+    }
+
+    /// The bounds on `m` processors.
+    fn bounds(&self, m: usize) -> BoundReport {
+        BoundReport {
+            cmax: self.p_max.max(self.p_sum / m as f64),
+            mmax: self.s_max.max(self.s_sum / m as f64),
+            source: BoundSource::GrahamIdentical,
+        }
     }
 }
 
@@ -380,11 +429,13 @@ pub fn solve_from_scratch(
         }
     };
     let mut memory = Vec::with_capacity(m);
+    let bounds = GrahamTotals::fold(csr).bounds(m);
     Ok(solution_parts(
         csr,
         m,
         cap,
         &outcome.schedule,
+        bounds,
         csr.n(),
         &mut memory,
     ))

@@ -181,8 +181,20 @@ impl CsrDag {
     /// In-place `AddTask` (see [`crate::delta::CsrDelta`]): the new
     /// task takes index `n`, its predecessor list is appended to the
     /// pred CSR, and each predecessor's successor list gains the new
-    /// task at its end in one `O(n + E)` splice — exactly where a
-    /// from-scratch build with the edges appended last would put it.
+    /// task at its end — exactly where a from-scratch build with the
+    /// edges appended last would put it. `preds` must be distinct
+    /// (`CsrDelta::validate` checks it).
+    ///
+    /// The successor splice works in place on the existing arrays:
+    /// `succ_edges` grows by `k = preds.len()`, and walking the
+    /// predecessors from the highest index down, each block of lists
+    /// behind one moves right by the number of predecessors at or below
+    /// it (one `copy_within`), leaving the slot for the new index at the
+    /// end of that predecessor's list. The offsets after the lowest
+    /// predecessor then take range adds. That is `k` block moves and
+    /// `O(n − u_min)` offset adds, with nothing rebuilt and no
+    /// allocation beyond a sorted copy of the `k` predecessors and the
+    /// arrays' amortized growth.
     pub(crate) fn add_task(&mut self, preds: &[u32], p: f64, s: f64) {
         let j = self.n;
         assert!(
@@ -192,25 +204,28 @@ impl CsrDag {
         self.pred_edges.extend_from_slice(preds);
         self.pred_offsets.push(self.pred_edges.len() as u32);
 
-        let mut is_pred = vec![false; j];
-        for &u in preds {
-            is_pred[u as usize] = true;
+        let mut sorted = preds.to_vec();
+        sorted.sort_unstable();
+        // `end` is the end of the block still to move: the lists behind
+        // the predecessor `u` being spliced, up to the next one's block.
+        let mut end = self.succ_edges.len();
+        self.succ_edges.resize(end + sorted.len(), 0);
+        for (below, &u) in sorted.iter().enumerate().rev() {
+            let at = self.succ_offsets[u as usize + 1] as usize;
+            self.succ_edges.copy_within(at..end, at + below + 1);
+            self.succ_edges[at + below] = j as u32;
+            end = at;
         }
-        let mut succ_offsets = Vec::with_capacity(j + 2);
-        let mut succ_edges = Vec::with_capacity(self.succ_edges.len() + preds.len());
-        succ_offsets.push(0u32);
-        for (i, &was_pred) in is_pred.iter().enumerate() {
-            succ_edges.extend_from_slice(
-                &self.succ_edges[self.succ_offsets[i] as usize..self.succ_offsets[i + 1] as usize],
-            );
-            if was_pred {
-                succ_edges.push(j as u32);
+        // List `i` now starts one entry later per predecessor below it:
+        // the offsets from the `k`-th (0-based) predecessor's successor
+        // up to the next predecessor take `k + 1`.
+        for (k, &u) in sorted.iter().enumerate() {
+            let upto = sorted.get(k + 1).map_or(j, |&next| next as usize);
+            for off in &mut self.succ_offsets[u as usize + 1..=upto] {
+                *off += k as u32 + 1;
             }
-            succ_offsets.push(succ_edges.len() as u32);
         }
-        succ_offsets.push(succ_edges.len() as u32); // the arrival has no successors yet
-        self.succ_offsets = succ_offsets;
-        self.succ_edges = succ_edges;
+        self.succ_offsets.push(self.succ_edges.len() as u32); // the arrival has no successors yet
 
         self.proc_time.push(p);
         self.mem_size.push(s);

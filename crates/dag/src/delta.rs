@@ -14,8 +14,10 @@
 //!
 //! * **Adjacency**: an arrival appends its predecessor list to the pred
 //!   CSR (a pure append) and splices itself onto the *end* of each
-//!   predecessor's successor list in one `O(n + E)` pass — the same
-//!   position a [`TaskGraph`](crate::TaskGraph) built with the edge
+//!   predecessor's successor list in place — one block move per
+//!   predecessor inside the existing successor array and range adds on
+//!   the offsets behind the lowest one, with no array rebuilt — at the
+//!   same position a [`TaskGraph`](crate::TaskGraph) built with the edge
 //!   appended last would produce, so a replan and a from-scratch solve
 //!   of the mutated instance see identical edge orders.
 //! * **Costs**: a re-estimate overwrites the task's entries in the cost
@@ -132,9 +134,10 @@ impl CsrDelta {
 
 impl CsrDag {
     /// Applies a delta **in place**, maintaining every CSR invariant
-    /// (see the module docs). Arrivals cost `O(n + E)` for the
-    /// successor-list splice; recosts cost `O(1)`; completions cost
-    /// nothing.
+    /// (see the module docs). An arrival with `k` predecessors costs `k`
+    /// block moves in the successor array plus range adds on the
+    /// offsets behind its lowest predecessor, and allocates nothing
+    /// instance-sized; recosts cost `O(1)`; completions cost nothing.
     ///
     /// On error the instance is unchanged.
     pub fn apply_delta(&mut self, delta: &CsrDelta) -> Result<(), ModelError> {

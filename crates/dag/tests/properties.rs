@@ -1,7 +1,8 @@
 //! Property-based tests of the task-graph substrate: every generator
 //! yields a structurally sound acyclic graph, topological orders are
-//! valid, and the level/critical-path computations are mutually
-//! consistent.
+//! valid, the level/critical-path computations are mutually
+//! consistent, and an arrival spliced into a CSR in place leaves it
+//! equal to a rebuild.
 
 use proptest::prelude::*;
 
@@ -18,7 +19,8 @@ use sws_dag::generators::lu::lu_factorization;
 use sws_dag::generators::tree::{in_tree, out_tree};
 use sws_dag::levels::{bottom_levels, critical_path, critical_path_tasks, depth, top_levels};
 use sws_dag::topo::{is_acyclic, is_topological_order, topological_order};
-use sws_dag::TaskGraph;
+use sws_dag::{CsrDag, CsrDelta, TaskGraph};
+use sws_model::task::{Task, TaskSet};
 
 /// Checks the invariants every generated graph must satisfy.
 fn check_graph(graph: &TaskGraph) {
@@ -122,6 +124,86 @@ fn fork_join_counts_match_the_construction() {
     assert!(!g.sinks().is_empty());
 }
 
+/// Asserts two CSRs agree on every field: `PartialEq` covers the
+/// adjacency arrays (and the costs up to `-0.0 == 0.0`), the bit
+/// patterns cover the costs exactly.
+fn assert_same_csr(spliced: &CsrDag, rebuilt: &CsrDag, ctx: &str) {
+    assert_eq!(spliced, rebuilt, "{ctx}");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(spliced.proc_times()),
+        bits(rebuilt.proc_times()),
+        "{ctx}: p"
+    );
+    assert_eq!(
+        bits(spliced.mem_sizes()),
+        bits(rebuilt.mem_sizes()),
+        "{ctx}: s"
+    );
+}
+
+/// Applies `count` random arrivals to `csr`, the CSR of `base`, and
+/// checks after each one that it equals `CsrDag::from_graph` of `base`
+/// rebuilt with every arrival's edges appended. An arrival has 0–4
+/// distinct predecessors in draw (so mostly unsorted) order, with task 0
+/// and the newest task drawn often, so the first and the last successor
+/// lists take splices too; its costs include both signed zeros.
+fn check_arrivals(base: &TaskGraph, mut csr: CsrDag, count: usize, rng: &mut impl rand::Rng) {
+    let mut tasks = base.tasks().as_slice().to_vec();
+    let mut edges: Vec<(usize, usize)> = base.edges().collect();
+    let rebuild = |tasks: &[Task], edges: &[(usize, usize)]| {
+        let tasks = TaskSet::new(tasks.to_vec()).unwrap();
+        CsrDag::from_graph(&TaskGraph::from_edges(tasks, edges).unwrap())
+    };
+    assert_same_csr(
+        &csr,
+        &rebuild(&tasks, &edges),
+        "the base rebuilds as itself",
+    );
+    let costs = [0.0, -0.0, 0.5, 3.0, f64::MIN_POSITIVE];
+    for k in 0..count {
+        let j = tasks.len();
+        let mut preds: Vec<u32> = Vec::new();
+        for _ in 0..if j == 0 { 0 } else { rng.gen_range(0..=4usize) } {
+            let u = match rng.gen_range(0..4u32) {
+                0 => 0,
+                1 => j - 1,
+                _ => rng.gen_range(0..j),
+            } as u32;
+            if !preds.contains(&u) {
+                preds.push(u);
+            }
+        }
+        let p = costs[rng.gen_range(0..costs.len())];
+        let s = costs[rng.gen_range(0..costs.len())];
+        let delta = CsrDelta::AddTask {
+            preds: preds.clone(),
+            p,
+            s,
+        };
+        csr.apply_delta(&delta).unwrap();
+        tasks.push(Task::new_unchecked(p, s));
+        edges.extend(preds.iter().map(|&u| (u as usize, j)));
+        assert_same_csr(
+            &csr,
+            &rebuild(&tasks, &edges),
+            &format!("arrival {k}: {preds:?}"),
+        );
+    }
+}
+
+#[test]
+fn arrivals_splice_an_empty_csr_like_a_rebuild() {
+    let base = TaskGraph::new(TaskSet::from_ps(&[], &[]).unwrap());
+    check_arrivals(&base, CsrDag::from_graph(&base), 8, &mut rand_seed(1));
+}
+
+#[test]
+fn arrivals_splice_an_edge_free_csr_like_a_rebuild() {
+    let base = independent(9);
+    check_arrivals(&base, CsrDag::edge_free(base.tasks()), 8, &mut rand_seed(2));
+}
+
 #[test]
 fn cycles_are_rejected() {
     let tasks = sws_model::task::TaskSet::from_ps(&[1.0; 3], &[1.0; 3]).unwrap();
@@ -175,6 +257,23 @@ proptest! {
         check_graph(&fft_butterfly(k.min(6)));
         check_graph(&diamond_grid(k, k));
         check_graph(&out_tree(k.min(6), 2));
+    }
+
+    /// One to eight arrivals spliced into a random layered DAG's CSR in
+    /// place leave it equal, field for field, to a rebuild of the graph
+    /// with their edges appended.
+    #[test]
+    fn arrivals_splice_the_csr_like_a_rebuild(
+        n in 1usize..60,
+        layer_divisor in 1usize..8,
+        edge_prob in 0.0f64..1.0,
+        arrivals in 1usize..9,
+        seed in 0u64..1000,
+    ) {
+        let layers = (n / layer_divisor).clamp(1, n);
+        let mut rng = rand_seed(seed);
+        let base = layered_random(n, layers, edge_prob, &mut rng);
+        check_arrivals(&base, CsrDag::from_graph(&base), arrivals, &mut rng);
     }
 
     /// `with_costs` preserves the structure while replacing the costs.

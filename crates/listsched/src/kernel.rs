@@ -50,8 +50,9 @@
 //!   analysis, so marking costs `O(#skipped)` instead of a per-candidate
 //!   `O(m)` sweep;
 //! * **checkpoint/replay** ([`CheckpointedRun`]): a run records each
-//!   round's placement and rejection threshold, plus snapshots of the
-//!   resumable [`EngineState`] at stride boundaries, so a run at a
+//!   round's placement and rejection threshold, plus stride-boundary
+//!   snapshots of the part of the resumable [`EngineState`] a replay
+//!   cannot rebuild from the run's own output, so a run at a
 //!   larger cap, or on an instance changed by an arrival or a cost
 //!   re-estimate, replays only from the first round the change can
 //!   affect (and shares the previous run's output in `O(1)` when none
@@ -888,10 +889,13 @@ const NO_TASK: u32 = u32::MAX;
 /// marked-processor bookkeeping, and the partial schedule built so far.
 ///
 /// The scheduling loop is fully deterministic given a state and an
-/// admissibility predicate, so a cloned `EngineState` replayed with the
-/// same verdicts reproduces the original run bit for bit — the property
-/// the ∆-sweep checkpoint/resume machinery ([`CheckpointedRun`]) is
-/// built on.
+/// admissibility predicate, so a state restored from a stride-boundary
+/// checkpoint and replayed with the same verdicts reproduces the
+/// original run bit for bit — the property the checkpoint/replay
+/// machinery ([`CheckpointedRun`]) is built on. A checkpoint stores
+/// only the part of the state a replay cannot rebuild (see
+/// [`CheckpointedRun`]'s snapshot docs), so the state itself is not
+/// `Clone`.
 ///
 /// Task and rank indices are stored as `u32` (the CSR layer guarantees
 /// `n < u32::MAX`), which halves the ready structures' memory traffic.
@@ -948,39 +952,6 @@ pub struct EngineState {
     round: usize,
 }
 
-impl Clone for EngineState {
-    fn clone(&self) -> Self {
-        EngineState {
-            procs: self.procs.clone(),
-            marked: self.marked.clone(),
-            preds: self.preds.clone(),
-            proc_of: self.proc_of.clone(),
-            start: self.start.clone(),
-            pending: self.pending.clone(),
-            runnable: self.runnable.clone(),
-            slot_of_task: self.slot_of_task.clone(),
-            task_of_slot: self.task_of_slot.clone(),
-            round: self.round,
-        }
-    }
-
-    /// Buffer-reusing clone: restoring a checkpoint into a workspace
-    /// goes through this, so a warm resume re-fills the existing
-    /// allocations instead of replacing them.
-    fn clone_from(&mut self, source: &Self) {
-        self.procs.clone_from(&source.procs);
-        self.marked.clone_from(&source.marked);
-        self.preds.clone_from(&source.preds);
-        self.proc_of.clone_from(&source.proc_of);
-        self.start.clone_from(&source.start);
-        self.pending.clone_from(&source.pending);
-        self.runnable.clone_from(&source.runnable);
-        self.slot_of_task.clone_from(&source.slot_of_task);
-        self.task_of_slot.clone_from(&source.task_of_slot);
-        self.round = source.round;
-    }
-}
-
 /// Sets `v`'s length to `n` without zeroing a reused prefix: every
 /// element is overwritten before it is read (placement arrays are
 /// written when their task is placed, and read only after all `n`
@@ -1012,11 +983,13 @@ impl EngineState {
         }
     }
 
-    /// Builds the slot tables for this run's priority rank (see the
-    /// [`EngineState`] slot docs): `slot_of_task` is the rank itself
-    /// when the rank is a permutation of `0..n`, detected in one scatter
-    /// pass; otherwise the `(rank, task)` packs are sorted once.
-    fn build_slots(&mut self, rank: &PriorityRank, n: usize) {
+    /// Builds the slot tables of the `n = rank.len()` tasks `rank`
+    /// covers (see the [`EngineState`] slot docs): `slot_of_task` is the
+    /// rank itself when the rank is a permutation of `0..n`, detected in
+    /// one scatter pass; otherwise the `(rank, task)` packs are sorted
+    /// once.
+    fn build_slots(&mut self, rank: &[u32]) {
+        let n = rank.len();
         resize_for_overwrite(&mut self.slot_of_task, n, 0);
         resize_for_overwrite(&mut self.task_of_slot, n, 0);
         // Scatter the inverse, using u32::MAX as the "slot still free"
@@ -1067,7 +1040,7 @@ impl EngineState {
         resize_for_overwrite(&mut self.start, n, 0.0);
         self.pending.clear();
         self.pending.reserve(n);
-        self.build_slots(rank, n);
+        self.build_slots(rank);
         self.runnable.reset(n);
         // Source tasks are ready at 0 = the initial minimum load, so the
         // first round's migration would move every one of them to the
@@ -1617,12 +1590,21 @@ fn checkpoint_stride(n: usize) -> usize {
     (n / 32).max(32)
 }
 
-/// One snapshot of a checkpointed run: the engine state plus the
-/// per-processor memory committed so far, taken *before* round `round`.
+/// One stride-boundary snapshot of a checkpointed run, taken *before*
+/// round `round`: the part of the [`EngineState`] a replay cannot
+/// rebuild (the processor heap, the marked processors, the readiness
+/// bookkeeping with its tie-group links, and both ready structures) plus
+/// the per-processor memory committed so far. It holds no placement and
+/// no slot table: [`Checkpoint::restore`] rebuilds both (see the
+/// [`CheckpointedRun`] snapshot docs).
 #[derive(Debug)]
 struct Checkpoint {
     round: usize,
-    state: EngineState,
+    procs: ProcHeap,
+    marked: Vec<bool>,
+    preds: Vec<PredState>,
+    pending: PendingHeap,
+    runnable: RankBitmap,
     memsize: Vec<f64>,
 }
 
@@ -1632,9 +1614,51 @@ impl Checkpoint {
     fn empty() -> Self {
         Checkpoint {
             round: 0,
-            state: EngineState::empty(),
+            procs: ProcHeap::empty(),
+            marked: Vec::new(),
+            preds: Vec::new(),
+            pending: PendingHeap::default(),
+            runnable: RankBitmap::default(),
             memsize: Vec::new(),
         }
+    }
+
+    /// Snapshots `state` before its next round, with the committed
+    /// `memsize`, into this snapshot's buffers (reusing their
+    /// allocations).
+    fn stage(&mut self, state: &EngineState, memsize: &[f64]) {
+        self.round = state.round;
+        self.procs.clone_from(&state.procs);
+        self.marked.clone_from(&state.marked);
+        self.preds.clone_from(&state.preds);
+        self.pending.clone_from(&state.pending);
+        self.runnable.clone_from(&state.runnable);
+        self.memsize.clear();
+        self.memsize.extend_from_slice(memsize);
+    }
+
+    /// Restores the snapshot into `state`, reusing its buffers: the
+    /// stored parts are copied back, the placements of the snapshot's
+    /// `preds.len()` tasks come from `schedule` (the output of a run
+    /// that keeps or inherits this boundary), and the slot tables are
+    /// rebuilt over the first `preds.len()` entries of `rank`. The
+    /// [`CheckpointedRun`] snapshot docs give the invariant that makes
+    /// both equal to what a full snapshot would have stored.
+    fn restore(&self, state: &mut EngineState, schedule: &TimedSchedule, rank: &[u32]) {
+        let n = self.preds.len();
+        state.procs.clone_from(&self.procs);
+        state.marked.clone_from(&self.marked);
+        state.preds.clone_from(&self.preds);
+        state.pending.clone_from(&self.pending);
+        state.runnable.clone_from(&self.runnable);
+        state.proc_of.clear();
+        state
+            .proc_of
+            .extend((0..n).map(|i| schedule.proc_of(i) as u32));
+        state.start.clear();
+        state.start.extend((0..n).map(|i| schedule.start(i)));
+        state.build_slots(&rank[..n]);
+        state.round = self.round;
     }
 }
 
@@ -1783,6 +1807,26 @@ enum SnapshotPolicy {
 /// restores the latest kept boundary at or before the first affected
 /// round, splices in every task the snapshot predates, and re-records
 /// from there.
+///
+/// A snapshot stores only what a replay cannot rebuild: the processor
+/// heap, the marked processors, the per-task readiness bookkeeping
+/// (ready time, outstanding predecessors, tie-group link), the pending
+/// heap, the runnable bitmap, the committed memory and the round —
+/// 16 bytes per task plus the ready structures. A restore rebuilds the
+/// rest of the [`EngineState`]. It copies the placements (processor and
+/// start time) of the tasks the snapshot covers from the run's own
+/// schedule, and it rebuilds the slot tables over the snapshot's tasks
+/// with the slot builder a cold run uses, before the splice extends
+/// both. The copy rests on one invariant: **every run that keeps or
+/// inherits a boundary placed the tasks of the boundary's prefix exactly
+/// as the run that took it.** The run that takes a boundary placed them
+/// itself; a replay inherits only the boundaries before the one it
+/// restores, and its rounds before that point are the recorded ones,
+/// bit for bit. (Tasks the prefix did not place carry stale placements
+/// until the replay places them, as a cold run's reused buffers do.)
+/// The slot tables match the stored ones because a rank the records
+/// accept agrees with the recorded rank on every task the snapshot
+/// covers, and each later arrival sorts after all of them.
 ///
 /// # Fallback
 ///
@@ -2017,11 +2061,8 @@ impl CheckpointedRun {
         cap: f64,
         ws: &mut KernelWorkspace,
     ) -> Result<Self, ModelError> {
+        self.restore(ci, rank, ws);
         let ck = &self.checkpoints[ci];
-        // Restore into the workspace's buffers (clone_from reuses their
-        // allocations) instead of cloning a fresh state.
-        ws.state.clone_from(&ck.state);
-        self.adapt_new_tasks(rank, ck.round, ws);
         let admission = RecordingCapAdmission::new(ck.memsize.clone(), cap);
         // The replay re-records from the restored round (re-staging its
         // boundary), so keep only what precedes it: identical by
@@ -2030,6 +2071,15 @@ impl CheckpointedRun {
         let checkpoints = self.checkpoints[..ci].to_vec();
         let (csr, rank) = (Arc::clone(&self.csr), Arc::clone(rank));
         Self::drive(csr, rank, self.policy, admission, records, checkpoints, ws)
+    }
+
+    /// Rebuilds in the workspace the state a replay from kept snapshot
+    /// `ci` starts from: the snapshot restored, then every task it
+    /// predates spliced in.
+    fn restore(&self, ci: usize, rank: &PriorityRank, ws: &mut KernelWorkspace) {
+        let ck = &self.checkpoints[ci];
+        ck.restore(&mut ws.state, &self.outcome.schedule, rank);
+        self.adapt_new_tasks(rank, ck.round, ws);
     }
 
     /// Splices every task the restored snapshot predates into the
@@ -2057,7 +2107,7 @@ impl CheckpointedRun {
     ///
     /// Every spliced task takes the next slot (`t`): the rank guard of
     /// arrival replans sorts each arrival's pack after all earlier ones,
-    /// so the snapshot's slot tables extend without renumbering.
+    /// so the restored slot tables extend without renumbering.
     fn adapt_new_tasks(&self, rank: &PriorityRank, at: usize, ws: &mut KernelWorkspace) {
         let n = self.csr.n();
         let place_round = &self.records.place_round;
@@ -2127,9 +2177,7 @@ impl CheckpointedRun {
                 ws.probe.poll()?;
             }
             if ws.state.round.is_multiple_of(stride) {
-                ws.staged.round = ws.state.round;
-                ws.staged.state.clone_from(&ws.state);
-                ws.staged.memsize.clone_from(&admission.inner.memsize);
+                ws.staged.stage(&ws.state, &admission.inner.memsize);
                 staged = true;
             }
             records.min_load.push(ws.state.procs.min_load());
@@ -3217,6 +3265,140 @@ mod tests {
                 .collect();
             proptest::prop_assert_eq!(kept_rounds(&sweep), rejecting);
             proptest::prop_assert_eq!(kept_rounds(&session), boundaries);
+        }
+    }
+
+    /// Asserts the restore invariant at every kept boundary of `run`: the
+    /// placements and slot tables a restore rebuilds (and the processor
+    /// loads and marks it copies) equal those of a plain cold run of the
+    /// run's instance and rank stepped to the boundary's round. The
+    /// placements compared are those of the tasks the cold run placed so
+    /// far, start times by bit pattern. Returns the boundaries checked.
+    fn assert_restores_match_cold(run: &CheckpointedRun, what: &str) -> usize {
+        let (csr, rank, m) = (run.csr(), run.rank(), run.m);
+        for ci in 0..run.checkpoints.len() {
+            let round = run.checkpoints[ci].round;
+            let mut warm = KernelWorkspace::new();
+            run.restore(ci, rank, &mut warm);
+            let mut cold = KernelWorkspace::new();
+            cold.state.init(csr, m, rank);
+            let mut admission = MemoryCapAdmission::new(m, run.cap());
+            let mut placed = Vec::with_capacity(round);
+            while cold.state.round < round {
+                let (task, _) = cold
+                    .state
+                    .step(csr, rank, &mut admission, &mut cold.scratch)
+                    .unwrap();
+                placed.push(task as usize);
+            }
+            let (warm, cold) = (&warm.state, &cold.state);
+            let ctx = format!("{what}: boundary {round}");
+            assert_eq!(warm.round, cold.round, "{ctx}");
+            for &t in &placed {
+                assert_eq!(warm.proc_of[t], cold.proc_of[t], "{ctx}: task {t}");
+                assert_eq!(
+                    warm.start[t].to_bits(),
+                    cold.start[t].to_bits(),
+                    "{ctx}: task {t}"
+                );
+            }
+            assert_eq!(warm.slot_of_task, cold.slot_of_task, "{ctx}");
+            assert_eq!(warm.task_of_slot, cold.task_of_slot, "{ctx}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(warm.procs.loads()), bits(cold.procs.loads()), "{ctx}");
+            assert_eq!(warm.marked, cold.marked, "{ctx}");
+        }
+        run.checkpoints.len()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The restore invariant (see [`assert_restores_match_cold`]) on
+        /// the two kinds of run that keep boundaries: a session after a
+        /// few arrivals and processing-time re-estimates, whose older
+        /// boundaries predate some of the arrivals, and each run along a
+        /// ∆-sweep chain whose cap binds.
+        #[test]
+        fn restored_boundaries_match_a_cold_run_stepped_to_them(
+            family in 0usize..7,
+            n in 40usize..300,
+            m in 2usize..9,
+            seed in 0u64..1_000,
+            events in 1usize..7,
+        ) {
+            use sws_workloads::{dagsets, TaskDistribution};
+            let family = dagsets::DagFamily::all()[family];
+            let inst = dagsets::dag_workload(
+                family,
+                n,
+                m,
+                TaskDistribution::Uncorrelated,
+                &mut sws_workloads::seeded_rng(seed),
+            );
+            let m = inst.m();
+            let mut ws = KernelWorkspace::new();
+            // A rank that is not the identity, so the slot tables are too.
+            let csr = Arc::new(inst.csr());
+            let rank = Arc::new(crate::priority::lpt_priority_csr(&csr));
+
+            // Session side: arrivals (each ranked last) and re-estimates,
+            // then every boundary.
+            let (csr_0, rank_0) = (Arc::clone(&csr), Arc::clone(&rank));
+            let mut run =
+                CheckpointedRun::session(csr_0, m, rank_0, f64::INFINITY, &mut ws).unwrap();
+            let mut rng = XorShift(0x9E3779B97F4A7C15 ^ seed);
+            for _ in 0..events {
+                let n_now = run.csr().n();
+                let (delta, kdelta) = if rng.below(2) == 0 {
+                    let preds = match rng.below(3) {
+                        0 => vec![],
+                        1 => vec![rng.below(n_now as u64) as u32],
+                        _ => vec![(n_now - 1) as u32],
+                    };
+                    let (p, s) = (rng.cost(), rng.cost());
+                    (sws_dag::CsrDelta::AddTask { preds, p, s }, ReplanDelta::Arrival)
+                } else {
+                    let task = rng.below(n_now as u64) as u32;
+                    let p = Some(rng.cost());
+                    let delta = sws_dag::CsrDelta::Recost { task, p, s: None };
+                    let kdelta = ReplanDelta::Recost {
+                        task,
+                        p_changed: true,
+                        s_shift: CostShift::Unchanged,
+                    };
+                    (delta, kdelta)
+                };
+                run.csr_mut().apply_delta(&delta).unwrap();
+                let mut rank = run.rank().to_vec();
+                if kdelta == ReplanDelta::Arrival {
+                    rank.push(n_now as u32);
+                }
+                run = run.replan(&Arc::new(rank), kdelta, &mut ws).unwrap();
+            }
+            let kept = assert_restores_match_cold(&run, "session");
+            let n = run.csr().n();
+            proptest::prop_assert_eq!(kept, n.div_ceil(checkpoint_stride(n)));
+
+            // Sweep side: a chain from just above the lower bound, resumed
+            // at each run's smallest rejected value while the cap binds.
+            let cap = 1.01 * inst.mmax_lower_bound();
+            let Ok(mut chain) = CheckpointedRun::cold_in(csr, m, rank, cap, &mut ws) else {
+                return;
+            };
+            assert_restores_match_cold(&chain, "sweep");
+            for _ in 0..3 {
+                if !chain.reject_floor.is_finite() {
+                    break;
+                }
+                // A larger cap can still fail (list schedules are not
+                // monotone in it); the chain ends there.
+                let Ok(next) = chain.resume_in(chain.reject_floor, &mut ws) else {
+                    break;
+                };
+                chain = next;
+                assert_restores_match_cold(&chain, "sweep chain");
+            }
         }
     }
 

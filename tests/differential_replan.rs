@@ -68,6 +68,22 @@ fn assert_bit_identical(warm: &Solution, cold: &Solution, ctx: &str) {
     );
     assert_eq!(warm.achieved, cold.achieved, "{ctx}: guarantee differs");
     assert_eq!(warm.ratio_bound, cold.ratio_bound, "{ctx}: ratio differs");
+    let (wb, cb) = (&warm.stats.bounds, &cold.stats.bounds);
+    assert_eq!(
+        wb.cmax.to_bits(),
+        cb.cmax.to_bits(),
+        "{ctx}: cmax lower bound differs ({} vs {})",
+        wb.cmax,
+        cb.cmax
+    );
+    assert_eq!(
+        wb.mmax.to_bits(),
+        cb.mmax.to_bits(),
+        "{ctx}: mmax lower bound differs ({} vs {})",
+        wb.mmax,
+        cb.mmax
+    );
+    assert_eq!(wb.source, cb.source, "{ctx}: bound source differs");
 }
 
 /// Replays `solution`'s schedule on the simulator against the mutated
