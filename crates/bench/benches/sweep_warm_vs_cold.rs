@@ -14,6 +14,11 @@
 //!   `warm/binding_100caps_2500x8` row is a `CheckpointedRun` chain
 //!   over caps 1.01–1.1·LB on the same DAG, where the cap rejects in
 //!   the last strides of every run and resumes restore kept snapshots.
+//!   `warm/binding_sweep_991x64` is a `SweepEngine` sweep (at most two
+//!   chains) over a 200-point grid from ∆ = 2.01 on a bimodal fork-join
+//!   DAG (n = 991, m = 64) whose first run does not answer every later
+//!   point: 10 of them replay, so the sweep fans out the points after
+//!   the answered prefix to chains forked from the first run.
 //! * `sbo_sweep_warm_vs_cold` — 1000-point SBO∆ front on independent
 //!   tasks (n = 2 000, m = 8): the engine computes the two inner LPT
 //!   schedules once instead of once per grid point.
@@ -35,8 +40,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use sws_core::pareto_sweep::{delta_grid, rls_sweep, rls_sweep_cold, sbo_sweep, sbo_sweep_cold};
-use sws_core::rls::RlsConfig;
+use sws_core::pareto_sweep::{
+    delta_grid, rls_sweep, rls_sweep_cold, sbo_sweep, sbo_sweep_cold, SweepEngine,
+};
+use sws_core::rls::{PriorityOrder, RlsConfig, RlsEngine};
 use sws_core::sbo::InnerAlgorithm;
 use sws_dag::DagInstance;
 use sws_listsched::kernel::CheckpointedRun;
@@ -114,6 +121,32 @@ fn bench_rls_sweep(c: &mut Criterion) {
                 black_box(replayed)
             })
         },
+    );
+
+    // A sweep whose first run does not answer the grid: the points it
+    // cannot answer fan out to at most two chains forked from it.
+    let binding = dag_workload(
+        DagFamily::ForkJoin,
+        1_000,
+        64,
+        TaskDistribution::Bimodal,
+        &mut seeded_rng(0xBEEF),
+    );
+    let grid = delta_grid(2.01, 16.0, 200).unwrap();
+    let mut chain = RlsEngine::new(&binding, PriorityOrder::Index);
+    chain.run(grid[0]).unwrap();
+    assert!(
+        grid[1..].iter().any(|&delta| {
+            chain.run(delta).unwrap();
+            chain.replayed_rounds() > Some(0)
+        }),
+        "the binding sweep must replay at some later point"
+    );
+    let engine = SweepEngine::with_workers(2);
+    group.bench_with_input(
+        BenchmarkId::new("warm", format!("binding_sweep_{}x64", binding.n())),
+        &binding,
+        |b, inst| b.iter(|| black_box(engine.run_rls(inst, PriorityOrder::Index, &grid).unwrap())),
     );
 
     if quick() {

@@ -3,10 +3,12 @@
 //! Supports the pipeline the repository uses — `into_par_iter()` on
 //! `Vec<T>` and `usize` ranges, chained `.map(..)` stages, and
 //! `.collect::<Vec<_>>()` — preserving input order. Work is split into
-//! one contiguous chunk per available core; each chunk is processed on
-//! its own scoped thread. There is no work stealing, so heavily skewed
-//! per-item costs parallelize less evenly than under real rayon, but the
-//! ∆-sweep workloads this repo fans out are close to uniform.
+//! one contiguous chunk per available core; the calling thread processes
+//! the first chunk itself and each other chunk runs on its own scoped
+//! thread, so a `k`-chunk call spawns `k − 1` threads. There is no work
+//! stealing, so heavily skewed per-item costs parallelize less evenly
+//! than under real rayon, but the workloads this repo fans out are close
+//! to uniform.
 
 #![forbid(unsafe_code)]
 
@@ -39,7 +41,9 @@ fn worker_count(len: usize) -> usize {
     configured_threads().min(len.max(1))
 }
 
-/// Order-preserving parallel map used by every adapter.
+/// Order-preserving parallel map used by every adapter. The first chunk
+/// runs on the calling thread while scoped threads run the others; a
+/// panic on any of them propagates to the caller once all have finished.
 fn par_map_vec<T, U, F>(items: Vec<T>, f: &F) -> Vec<U>
 where
     T: Send,
@@ -62,11 +66,13 @@ where
         chunks.push(chunk);
     }
     let mut results: Vec<Vec<U>> = Vec::with_capacity(chunks.len());
+    let mut chunks = chunks.into_iter();
+    let first = chunks.next().unwrap_or_default();
     std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
-            .into_iter()
             .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<U>>()))
             .collect();
+        results.push(first.into_iter().map(f).collect());
         for handle in handles {
             results.push(handle.join().expect("parallel worker panicked"));
         }

@@ -15,20 +15,24 @@
 //! instead of re-running the schedulers from scratch:
 //!
 //! * **RLS∆** — the memory cap `∆·LB` grows monotonically along the
-//!   sorted grid, so [`SweepEngine`] walks each chunk of consecutive ∆
-//!   values as a warm chain ([`crate::rls::RlsEngine`] on top of the
-//!   kernel's checkpoint/resume support): every run replays the previous
-//!   one only from the first scheduling round whose admissibility
-//!   verdict changes, and replays nothing once the cap stops binding.
+//!   sorted grid, so [`SweepEngine`] runs the first ∆ cold and warm-starts
+//!   the rest from it ([`crate::rls::RlsEngine`] on top of the kernel's
+//!   checkpoint/resume support): a resume replays only from the first
+//!   scheduling round whose admissibility verdict changes, and a ∆ whose
+//!   cap changes no verdict is answered by the recorded run itself, with
+//!   no kernel round. RLS∆ caps rarely bind above ∆ = 2, so the first
+//!   run usually answers the whole grid (docs/PERFORMANCE.md).
 //! * **SBO∆** — the two inner schedules `π₁`/`π₂` do not depend on ∆ at
 //!   all, so [`crate::sbo::SboEngine`] computes them once and each grid
 //!   point costs only the `O(n)` threshold routing.
 //!
-//! The rayon fan-out distributes **chunks of consecutive ∆ values** (one
-//! warm chain per worker) and merges the chunk results at the barrier in
-//! grid order, so the produced curve is bit-identical to the serial
-//! from-scratch loop — the retained [`rls_sweep_cold`]/[`sbo_sweep_cold`]
-//! oracles, which the differential suite checks point for point.
+//! The rayon fan-out distributes **chunks of consecutive ∆ values** (at
+//! most one chain per worker) and merges the chunk results at the
+//! barrier in grid order, so the produced curve is bit-identical to the
+//! serial from-scratch loop — the retained
+//! [`rls_sweep_cold`]/[`sbo_sweep_cold`] oracles, which the differential
+//! suite checks point for point. An RLS∆ sweep fans out only the ∆
+//! values its first run cannot answer, each chain forked from that run.
 //!
 //! Relation to the portfolio layer (`crate::portfolio`): a sweep is a
 //! *chain* of bi-objective solves sharing warm state, so it deliberately
@@ -168,10 +172,11 @@ where
     Ok(per_chunk?.into_iter().flatten().collect())
 }
 
-/// Warm-started ∆-sweep runner: splits a sorted ∆ grid into chunks of
-/// consecutive values — one warm chain per rayon worker — runs every
-/// chain independently, and returns the per-∆ results **in grid order**,
-/// bit-identical to a serial from-scratch loop over the same grid.
+/// Warm-started ∆-sweep runner: splits the part of a sorted ∆ grid it
+/// cannot answer up front into chunks of consecutive values — at most
+/// `workers` warm chains — runs every chain independently, and returns
+/// the per-∆ results **in grid order**, bit-identical to a serial
+/// from-scratch loop over the same grid.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepEngine {
     workers: usize,
@@ -184,19 +189,19 @@ impl Default for SweepEngine {
 }
 
 impl SweepEngine {
-    /// One chunk per rayon worker thread.
+    /// At most one chain per rayon worker thread.
     pub fn new() -> Self {
         Self::with_workers(rayon::current_num_threads().max(1))
     }
 
-    /// Explicit chunk count (≥ 1); the produced results do not depend on
-    /// it, only the wall-clock does.
+    /// An upper bound (≥ 1) on the chains a sweep fans out to; the
+    /// produced results do not depend on it, only the wall-clock does.
     pub fn with_workers(workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
         SweepEngine { workers }
     }
 
-    /// Contiguous chunks of the grid, one per worker.
+    /// Contiguous chunks of the grid, at most one per worker.
     fn chunked(&self, deltas: &[f64]) -> Vec<Vec<f64>> {
         if deltas.is_empty() {
             return Vec::new();
@@ -205,38 +210,51 @@ impl SweepEngine {
         deltas.chunks(chunk_len).map(<[f64]>::to_vec).collect()
     }
 
-    /// Runs RLS∆ for every ∆ of `deltas`, warm-starting within each
-    /// chunk of consecutive values. Ascending grids warm-start every
-    /// step; a descending step silently falls back to a cold run, so any
-    /// grid is valid.
+    /// Runs RLS∆ for every ∆ of `deltas`, in three parts:
     ///
-    /// One chunk runs **inline** on the calling thread — no rayon
-    /// dispatch — so a single-worker sweep has zero fan-out overhead.
-    /// Each worker chain owns one kernel workspace (inside its
-    /// [`RlsEngine`]); the priority rank and the CSR instance mirror are
-    /// computed once and shared by every chain.
+    /// 1. **The first run**: the first ∆ runs cold on the calling thread,
+    ///    through one [`RlsEngine`] that records it.
+    /// 2. **The answered prefix**: that engine answers, in grid order,
+    ///    every following ∆ the first run already answers (a cap at or
+    ///    above its cap and below its smallest recorded rejection). Each
+    ///    answer shares the first run's schedule; no kernel round runs.
+    /// 3. **The fanned-out suffix**: the remaining ∆ values are split
+    ///    into at most `workers` chunks of consecutive values, and each
+    ///    chunk runs as a warm chain on a fork of the first engine, so
+    ///    its first step resumes the first run instead of running cold.
+    ///    One chunk runs inline; more go through the rayon pool.
+    ///
+    /// A grid the first run answers completely runs the kernel once and
+    /// starts no thread. Any grid is valid: ascending steps warm-start,
+    /// and a step below a chain's kept cap runs cold. The priority rank
+    /// and the CSR instance mirror are computed once and shared by every
+    /// chain.
     pub fn run_rls(
         &self,
         inst: &DagInstance,
         order: PriorityOrder,
         deltas: &[f64],
     ) -> Result<Vec<(f64, RlsResult)>, ModelError> {
-        // One rank computation and one CSR flattening for the whole
-        // sweep, shared by every per-worker chain.
         let csr = std::sync::Arc::new(inst.csr());
         let rank = std::sync::Arc::new(order.rank_csr(inst.graph(), &csr));
-        run_chunks(self.chunked(deltas), |chunk| {
-            let mut engine = RlsEngine::with_parts(
-                inst,
-                order,
-                std::sync::Arc::clone(&rank),
-                std::sync::Arc::clone(&csr),
-            );
+        let mut engine = RlsEngine::with_parts(inst, order, rank, csr);
+        let mut runs = Vec::with_capacity(deltas.len());
+        let mut rest = deltas;
+        while let Some((&delta, tail)) = rest.split_first() {
+            if !runs.is_empty() && !engine.answers(delta) {
+                break;
+            }
+            runs.push((delta, engine.run(delta)?));
+            rest = tail;
+        }
+        runs.extend(run_chunks(self.chunked(rest), |chunk| {
+            let mut chain = engine.fork();
             chunk
                 .into_iter()
-                .map(|delta| Ok((delta, engine.run(delta)?)))
+                .map(|delta| Ok((delta, chain.run(delta)?)))
                 .collect()
-        })
+        })?);
+        Ok(runs)
     }
 
     /// Runs SBO∆'s threshold routing for every ∆ of `deltas` on a shared

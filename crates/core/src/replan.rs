@@ -61,7 +61,11 @@ use sws_model::solve::{
 /// unchanged, an arrival folds in the one new task, and a re-estimate
 /// (the only delta that rewrites an existing cost) refolds it. Since
 /// every mutation updates it, a stale session's fold already matches
-/// the instance its cold re-solve runs on.
+/// the instance its cold re-solve runs on. The achieved objective point
+/// is kept the same way: a completion changes neither the schedule nor
+/// any cost, so it reuses the previous answer's point, while every delta
+/// that enters the kernel (a storage-only re-estimate included, whose
+/// `Mmax` moves even when no round replays) refolds it.
 ///
 /// The session's admission policy is **fixed at open**: `None` caps
 /// nothing (Graham DAG list scheduling — the kernel run's cap `+∞`),
@@ -82,6 +86,9 @@ pub struct ReplanEngine {
     /// The Graham bound fold of the live instance, kept in step with
     /// every mutation instead of refolded per event.
     totals: GrahamTotals,
+    /// The objective point of the cached run on the live instance, once
+    /// an answer has folded it; cleared by every instance mutation.
+    point: Option<ObjectivePoint>,
     /// The cached run no longer matches the instance: a capped apply
     /// mutated the CSR and then failed (infeasible). The next event
     /// re-solves cold instead of replaying.
@@ -115,6 +122,7 @@ impl ReplanEngine {
             completed: vec![false; n],
             memory: Vec::with_capacity(m),
             totals,
+            point: None,
             stale: false,
             events: 0,
             replayed_rounds: 0,
@@ -167,6 +175,7 @@ impl ReplanEngine {
         };
         if kdelta.is_some() {
             self.run.csr_mut().apply_delta(delta)?;
+            self.point = None;
         }
         let n = self.n();
         match kdelta {
@@ -296,41 +305,53 @@ impl ReplanEngine {
 
     /// Packages the cached run as a [`Solution`] reporting `rounds`
     /// replayed rounds (zero when the answer comes straight from the
-    /// cache). The from-scratch oracle goes through
-    /// [`solve_from_scratch`], which calls the same [`solution_parts`]
-    /// so the two are bit-identical field by field.
+    /// cache), folding its objective point only when no answer since the
+    /// last mutation has. The from-scratch oracle goes through
+    /// [`solve_from_scratch`], which calls the same [`objective`] and
+    /// [`solution_parts`] so the two are bit-identical field by field.
     fn solution_of(&mut self, rounds: usize) -> Solution {
         let schedule = &self.run.outcome().schedule;
         let (csr, m, cap) = (self.run.csr(), self.m, self.cap);
+        let point = *self
+            .point
+            .get_or_insert_with(|| objective(csr, m, schedule, &mut self.memory));
         let bounds = self.totals.bounds(m);
-        solution_parts(csr, m, cap, schedule, bounds, rounds, &mut self.memory)
+        solution_parts(m, cap, schedule, point, bounds, rounds)
     }
 }
 
-/// Builds the replan backend's `Solution` from a finished run's
-/// schedule, with `rounds` as its replayed-round count — the single
-/// assembly path both [`ReplanEngine::apply`] and the
-/// [`solve_from_scratch`] oracle use, so warm and cold agree bit for bit
-/// on every field.
-fn solution_parts(
+/// The achieved `(Cmax, Mmax)` of `schedule` on `csr`: one pass over the
+/// tasks in index order, with `memory` as the per-processor scratch.
+fn objective(
     csr: &CsrDag,
     m: usize,
-    cap: Option<f64>,
     schedule: &TimedSchedule,
-    bounds: BoundReport,
-    rounds: usize,
     memory: &mut Vec<f64>,
-) -> Solution {
-    let schedule = schedule.clone();
-    let n = csr.n();
+) -> ObjectivePoint {
     memory.clear();
     memory.resize(m, 0.0);
     let mut cmax = 0.0f64;
-    for i in 0..n {
+    for i in 0..csr.n() {
         cmax = cmax.max(schedule.start(i) + csr.p(i));
         memory[schedule.proc_of(i)] += csr.s(i);
     }
-    let point = ObjectivePoint::new(cmax, max_or_zero(memory.iter().copied()));
+    ObjectivePoint::new(cmax, max_or_zero(memory.iter().copied()))
+}
+
+/// Builds the replan backend's `Solution` from a finished run's
+/// schedule and its [`objective`] point, with `rounds` as its
+/// replayed-round count — the single assembly path both
+/// [`ReplanEngine::apply`] and the [`solve_from_scratch`] oracle use, so
+/// warm and cold agree bit for bit on every field.
+fn solution_parts(
+    m: usize,
+    cap: Option<f64>,
+    schedule: &TimedSchedule,
+    point: ObjectivePoint,
+    bounds: BoundReport,
+    rounds: usize,
+) -> Solution {
+    let schedule = schedule.clone();
     let (achieved, ratio_bound) = match cap {
         // Graham's `2 − 1/m` holds under precedence constraints for
         // unrestricted list scheduling; replanning preserves it by
@@ -428,16 +449,15 @@ pub fn solve_from_scratch(
             event_driven_schedule_csr(csr, m, &rank, &mut admission, ws)?
         }
     };
-    let mut memory = Vec::with_capacity(m);
+    let point = objective(csr, m, &outcome.schedule, &mut Vec::with_capacity(m));
     let bounds = GrahamTotals::fold(csr).bounds(m);
     Ok(solution_parts(
-        csr,
         m,
         cap,
         &outcome.schedule,
+        point,
         bounds,
         csr.n(),
-        &mut memory,
     ))
 }
 
@@ -524,6 +544,35 @@ mod tests {
         assert!(err.is_err(), "recosting a completed task must refuse");
         // The failed delta left the instance untouched.
         assert_eq!(engine.csr().p(1), 3.0);
+    }
+
+    /// A completion reuses the previous answer's objective point. An
+    /// uncapped storage-only re-estimate replays no round, yet it moves
+    /// `Mmax`, so the completion after it must report the new value.
+    #[test]
+    fn a_completion_after_a_storage_re_estimate_reports_the_new_mmax() {
+        let mut engine = ReplanEngine::open(diamond_csr(), 2, None).unwrap();
+        let before = engine.solution().unwrap();
+        let grown = engine
+            .apply(&CsrDelta::Recost {
+                task: 3,
+                p: None,
+                s: Some(9.0),
+            })
+            .unwrap();
+        assert_eq!(grown.stats.rounds, 0, "an uncapped storage re-estimate");
+        assert!(grown.point.mmax > before.point.mmax);
+        let sol = engine.apply(&CsrDelta::CompleteTask { task: 0 }).unwrap();
+        let mut ws = KernelWorkspace::new();
+        let oracle = solve_from_scratch(engine.csr(), 2, None, &mut ws).unwrap();
+        assert_eq!(sol.schedule, oracle.schedule);
+        assert_eq!(sol.point.cmax.to_bits(), oracle.point.cmax.to_bits());
+        assert_eq!(sol.point.mmax.to_bits(), oracle.point.mmax.to_bits());
+        assert_eq!(sol.point.mmax.to_bits(), grown.point.mmax.to_bits());
+        assert_eq!(
+            sol.stats.bounds.mmax.to_bits(),
+            oracle.stats.bounds.mmax.to_bits()
+        );
     }
 
     #[test]

@@ -334,18 +334,19 @@ pub fn rls_independent_in(
 }
 
 /// Warm-startable RLS∆ engine over one instance: runs a *chain* of ∆
-/// values, warm-starting each run from the previous one through the
+/// values, warm-starting each run from a kept recorded run through the
 /// kernel's checkpoint/resume support ([`CheckpointedRun`]).
 ///
-/// The memory cap `∆·LB` grows with ∆, so along an ascending ∆ chain the
-/// admissible processor sets only grow and each run replays the previous
-/// one up to the first scheduling round whose admissibility verdict
-/// changes — often zero rounds once the cap stops binding. Every run's
-/// output is **bit-identical** to a from-scratch [`rls_in`] call at the
-/// same ∆ (the differential suite checks this schedule for schedule); a
-/// descending step is valid too, it just falls back to a cold run.
+/// The memory cap `∆·LB` grows with ∆, so at a larger ∆ the admissible
+/// processor sets only grow and a run replays the kept one from the
+/// first scheduling round whose admissibility verdict changes. A ∆ whose
+/// cap changes no verdict replays nothing: the engine keeps its run and
+/// answers from it. Every run's output is **bit-identical** to a
+/// from-scratch [`rls_in`] call at the same ∆ (the differential suite
+/// checks this schedule for schedule); any order of ∆ values is valid,
+/// a step below the kept run's cap just runs cold.
 ///
-/// This is the per-worker building block of the incremental ∆-sweeps in
+/// This is the building block of the incremental ∆-sweeps in
 /// [`crate::pareto_sweep`].
 #[derive(Debug)]
 pub struct RlsEngine {
@@ -363,7 +364,12 @@ pub struct RlsEngine {
     ws: KernelWorkspace,
     /// Reusable admissibility predicate for detached runs.
     admission: MemoryCapAdmission,
+    /// The recorded run warm steps start from, kept for as long as it
+    /// answers them ([`CheckpointedRun::shares_at`]).
     last: Option<CheckpointedRun>,
+    /// Rounds the kernel executed for the most recent
+    /// [`RlsEngine::run`] (`None` before it).
+    replayed: Option<usize>,
 }
 
 impl RlsEngine {
@@ -396,39 +402,76 @@ impl RlsEngine {
             ws: KernelWorkspace::with_capacity(inst.n(), m),
             admission: MemoryCapAdmission::new(m, f64::INFINITY),
             last: None,
+            replayed: None,
         }
     }
 
-    /// Runs RLS∆ at `delta`, warm-starting from the previous run of this
-    /// engine when one exists. When the resume replays nothing, the
-    /// result shares the previous run's schedule buffers: no `O(n)` copy.
+    /// A second engine over the same instance that starts from this
+    /// one's kept run: the same CSR, rank and lower bound, its own
+    /// workspace. Its first [`RlsEngine::run`] resumes the kept run
+    /// instead of running cold, which replays no more rounds than the
+    /// cold run would.
+    pub(crate) fn fork(&self) -> Self {
+        RlsEngine {
+            m: self.m,
+            order: self.order,
+            rank: std::sync::Arc::clone(&self.rank),
+            csr: std::sync::Arc::clone(&self.csr),
+            lb: self.lb,
+            ws: KernelWorkspace::with_capacity(self.csr.n(), self.m),
+            admission: MemoryCapAdmission::new(self.m, f64::INFINITY),
+            last: self.last.clone(),
+            replayed: None,
+        }
+    }
+
+    /// Whether the kept run already answers `delta`: a
+    /// [`RlsEngine::run`] at it would replay nothing.
+    pub(crate) fn answers(&self, delta: f64) -> bool {
+        let cap = delta * self.lb;
+        self.last.as_ref().is_some_and(|kept| kept.shares_at(cap))
+    }
+
+    /// Runs RLS∆ at `delta`. The first run is cold. A later step at or
+    /// above the kept run's cap resumes that run, replaying from the
+    /// first round whose verdict changes; a step below it runs cold.
+    /// When the kept run already answers `delta`, the engine keeps it
+    /// and the result shares its schedule buffers: no `O(n)` copy, no
+    /// kernel entry.
     pub fn run(&mut self, delta: f64) -> Result<RlsResult, ModelError> {
         validate_rls_delta(delta)?;
-        let config = RlsConfig {
-            delta,
-            order: self.order,
-        };
         let cap = delta * self.lb;
-        let run = match &self.last {
-            Some(prev) => prev.resume_in(cap, &mut self.ws)?,
-            None => CheckpointedRun::cold_in(
-                std::sync::Arc::clone(&self.csr),
-                self.m,
-                std::sync::Arc::clone(&self.rank),
-                cap,
-                &mut self.ws,
-            )?,
+        let kept = match self.last.as_ref().filter(|kept| kept.shares_at(cap)) {
+            Some(kept) => {
+                self.replayed = Some(0);
+                kept
+            }
+            None => {
+                let run = match &self.last {
+                    Some(kept) => kept.resume_in(cap, &mut self.ws)?,
+                    None => CheckpointedRun::cold_in(
+                        std::sync::Arc::clone(&self.csr),
+                        self.m,
+                        std::sync::Arc::clone(&self.rank),
+                        cap,
+                        &mut self.ws,
+                    )?,
+                };
+                self.replayed = Some(run.replayed_rounds());
+                self.last.insert(run)
+            }
         };
-        let result = RlsResult {
-            schedule: run.outcome().schedule.clone(),
+        Ok(RlsResult {
+            schedule: kept.outcome().schedule.clone(),
             lb: self.lb,
             memory_cap: cap,
-            marked: run.outcome().marked.clone(),
+            marked: kept.outcome().marked.clone(),
             guarantee: rls_guarantee(delta, self.m),
-            config,
-        };
-        self.last = Some(run);
-        Ok(result)
+            config: RlsConfig {
+                delta,
+                order: self.order,
+            },
+        })
     }
 
     /// A **full from-scratch** RLS∆ run at `delta` that reuses the
@@ -454,11 +497,11 @@ impl RlsEngine {
     }
 
     /// Rounds the kernel actually executed for the most recent
-    /// [`RlsEngine::run`] (`n` for a cold run, `0` for a divergence-free
-    /// resume); `None` before the first run. Exposed for tests and sweep
-    /// telemetry.
+    /// [`RlsEngine::run`] (`n` for a cold run, `0` for a step the kept
+    /// run answers); `None` before the first run. Exposed for tests and
+    /// sweep telemetry.
     pub fn replayed_rounds(&self) -> Option<usize> {
-        self.last.as_ref().map(CheckpointedRun::replayed_rounds)
+        self.replayed
     }
 }
 
@@ -783,6 +826,57 @@ mod tests {
                 .unwrap()
                 .schedule
         );
+    }
+
+    /// A step the kept run answers replays nothing and says so, also
+    /// right after a step that replayed.
+    #[test]
+    fn a_step_after_a_replay_reports_zero_replayed_rounds() {
+        let inst = dag_workload(
+            DagFamily::LayeredRandom,
+            120,
+            16,
+            TaskDistribution::Bimodal,
+            &mut seeded_rng(0xBEEF),
+        );
+        let grid = crate::pareto_sweep::delta_grid(2.01, 16.0, 200).unwrap();
+        let mut engine = RlsEngine::new(&inst, PriorityOrder::Index);
+        engine.run(grid[0]).unwrap();
+        let replaying = grid[1..]
+            .iter()
+            .copied()
+            .find(|&delta| {
+                engine.run(delta).unwrap();
+                engine.replayed_rounds() > Some(0)
+            })
+            .expect("some step of the grid replays");
+        let again = engine.run(replaying).unwrap();
+        assert_eq!(engine.replayed_rounds(), Some(0));
+        let cold = rls_in(
+            &inst,
+            &RlsConfig::new(replaying),
+            &mut KernelWorkspace::new(),
+        )
+        .unwrap();
+        assert_eq!(again.schedule, cold.schedule);
+        assert_eq!(again.marked, cold.marked);
+    }
+
+    /// The engine keeps its run while that run answers, so a descending
+    /// step that stays at or above the kept run's cap is answered warm.
+    #[test]
+    fn a_descending_step_above_the_kept_cap_matches_a_cold_run() {
+        let inst = DagInstance::new(gaussian_elimination(8), 3).unwrap();
+        let mut engine = RlsEngine::new(&inst, PriorityOrder::Index);
+        let first = engine.run(60.0).unwrap();
+        engine.run(64.0).unwrap();
+        let down = engine.run(62.0).unwrap();
+        assert_eq!(engine.replayed_rounds(), Some(0));
+        assert!(down.schedule.shares_storage(&first.schedule));
+        let cold = rls_in(&inst, &RlsConfig::new(62.0), &mut KernelWorkspace::new()).unwrap();
+        assert_eq!(down.schedule, cold.schedule);
+        assert_eq!(down.marked, cold.marked);
+        assert_eq!(down.memory_cap, cold.memory_cap);
     }
 
     #[test]

@@ -1780,11 +1780,12 @@ enum SnapshotPolicy {
 /// [`sws_model::numeric::approx_le`] is monotone in both arguments over
 /// non-negative operands: accepted probes stay accepted, rejected ones
 /// flip only where the round's smallest rejected value does, and whether
-/// any round flips is one comparison against `reject_floor`. An arrival
-/// ranked last changes an uncapped round only by *winning* it with a
-/// strictly earlier start (losers leave no trace: marking is
-/// winner-only); under a finite cap its probe can reject in any round
-/// that scans it. A storage change is invisible under cap `+∞`. The
+/// any round flips is one comparison against `reject_floor`: the `O(1)`
+/// test [`CheckpointedRun::shares_at`], which `replan` and the ∆-sweep
+/// engines both call. An arrival ranked last changes an uncapped round
+/// only by *winning* it with a strictly earlier start (losers leave no
+/// trace: marking is winner-only); under a finite cap its probe can
+/// reject in any round that scans it. A storage change is invisible under cap `+∞`. The
 /// re-estimate rounds never pass `pᵢ`, so no restored snapshot carries
 /// the task's old costs (under cap `+∞` a kept snapshot's committed
 /// memory may predate a storage re-estimate, which no verdict reads).
@@ -1950,7 +1951,7 @@ impl CheckpointedRun {
         };
         let restore = if same_rank && at_least(cap, self.cap) {
             let first = match delta {
-                ReplanDelta::Cap(_) if !diverges(self.reject_floor, cap) => None,
+                ReplanDelta::Cap(_) if self.shares_at(cap) => None,
                 ReplanDelta::Cap(_) => first_divergence(&self.records.reject_min, cap),
                 ReplanDelta::Arrival => {
                     assert_eq!(n, n_old + 1, "arrival replan against an un-mutated CSR");
@@ -2238,6 +2239,17 @@ impl CheckpointedRun {
     #[inline]
     pub fn cap(&self) -> f64 {
         self.cap
+    }
+
+    /// Whether this run is also the run at `cap`: `cap` is at or above
+    /// the run's own cap and below its smallest recorded rejection, so
+    /// every round keeps its verdict and its placement. `O(1)`, one
+    /// comparison against the cached floor. A [`ReplanDelta::Cap`]
+    /// replan at such a cap shares this run's outcome; an engine that
+    /// walks a ∆ grid can keep this run for every point it answers.
+    #[inline]
+    pub fn shares_at(&self, cap: f64) -> bool {
+        at_least(cap, self.cap) && !diverges(self.reject_floor, cap)
     }
 
     /// The priority rank the run was recorded under.

@@ -148,6 +148,105 @@ fn sweep_chunking_does_not_change_the_curve() {
     }
 }
 
+/// Every point of `SweepEngine::run_rls` over `grid` equals a cold
+/// `rls_in` at its ∆, for every chain bound from one chain to one per
+/// point.
+fn assert_sweep_points_match_cold_runs(inst: &DagInstance, grid: &[f64], label: &str) {
+    let mut ws = KernelWorkspace::new();
+    let cold: Vec<_> = grid
+        .iter()
+        .map(|&delta| rls_in(inst, &RlsConfig::new(delta), &mut ws).unwrap())
+        .collect();
+    for workers in [1usize, 2, 3, 5, grid.len()] {
+        let runs = SweepEngine::with_workers(workers)
+            .run_rls(inst, PriorityOrder::Index, grid)
+            .unwrap();
+        assert_eq!(runs.len(), grid.len(), "{label} workers={workers}");
+        for ((delta, warm), (&want, cold)) in runs.iter().zip(grid.iter().zip(&cold)) {
+            assert_eq!(*delta, want, "{label} workers={workers}");
+            assert_eq!(
+                warm.schedule, cold.schedule,
+                "{label} workers={workers} ∆={delta}: schedules differ"
+            );
+            assert_eq!(
+                warm.marked, cold.marked,
+                "{label} workers={workers} ∆={delta}"
+            );
+        }
+    }
+}
+
+/// Grids the first run does not answer: its recorded rejections bind
+/// for some later ∆, so those points fan out to chains forked from it.
+/// On a bimodal layered DAG at m = 16, a chain over the 200-point grid
+/// replays at some later points; the suite also runs a grid whose
+/// second point already diverges, one with a descending step, and one
+/// with an invalid ∆ after a valid prefix, which must fail with the
+/// error a single chain reports.
+#[test]
+fn sweep_points_the_first_run_cannot_answer_match_cold_runs() {
+    let inst = dag_workload(
+        DagFamily::LayeredRandom,
+        120,
+        16,
+        TaskDistribution::Bimodal,
+        &mut seeded_rng(0xBEEF),
+    );
+    let grid = delta_grid(2.01, 16.0, 200).unwrap();
+    let mut engine = RlsEngine::new(&inst, PriorityOrder::Index);
+    let replaying: Vec<usize> = (0..grid.len())
+        .filter(|&k| {
+            engine.run(grid[k]).unwrap();
+            k > 0 && engine.replayed_rounds() > Some(0)
+        })
+        .collect();
+    assert!(
+        !replaying.is_empty(),
+        "the grid must bind after its first ∆"
+    );
+    assert_sweep_points_match_cold_runs(&inst, &grid, "binding grid");
+
+    let diverging: Vec<f64> = std::iter::once(grid[0])
+        .chain(grid[replaying[0]..].iter().copied())
+        .collect();
+    assert_sweep_points_match_cold_runs(&inst, &diverging, "second point diverges");
+
+    let mut descending = grid[..40].to_vec();
+    descending.swap(1, 30);
+    descending.swap(5, 20);
+    assert_sweep_points_match_cold_runs(&inst, &descending, "descending steps");
+
+    let invalid = [grid[0], grid[replaying[0]], 3.0, 2.0, 4.0, 1.5];
+    let serial = SweepEngine::with_workers(1)
+        .run_rls(&inst, PriorityOrder::Index, &invalid)
+        .unwrap_err();
+    for workers in [2usize, 3, 5, invalid.len()] {
+        let fanned = SweepEngine::with_workers(workers)
+            .run_rls(&inst, PriorityOrder::Index, &invalid)
+            .unwrap_err();
+        assert_eq!(fanned, serial, "workers={workers}");
+    }
+}
+
+/// A grid the first run answers completely runs the kernel once: every
+/// point shares the first point's schedule storage, also when the
+/// engine may fan out to two chains.
+#[test]
+fn a_grid_the_first_run_answers_shares_one_schedule() {
+    let inst = workload(DagFamily::LayeredRandom, 300, 8, 1002);
+    let grid = delta_grid(2.1, 16.0, 64).unwrap();
+    let runs = SweepEngine::with_workers(2)
+        .run_rls(&inst, PriorityOrder::Index, &grid)
+        .unwrap();
+    let first = &runs[0].1.schedule;
+    for (delta, run) in &runs {
+        assert!(
+            run.schedule.shares_storage(first),
+            "∆={delta} did not share the first run's schedule"
+        );
+    }
+}
+
 /// Exact grid endpoints: no ln/exp round-trip drift on either bound.
 #[test]
 fn delta_grid_endpoints_are_exact() {
