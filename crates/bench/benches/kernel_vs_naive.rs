@@ -18,8 +18,10 @@
 //!   with bit-identical ready times — the kernel's tie-group path,
 //!   which layered DAGs barely exercise;
 //! * `sweep_scaling` — the parallelized `rls_sweep` at 1 thread vs. all
-//!   cores (the ∆ grid fans out across the rayon pool; one chunk runs
-//!   inline without dispatch);
+//!   cores, over a 200-point grid from ∆ = 2.01 on a bimodal fork-join
+//!   DAG (n = 991, m = 64) whose first run does not answer every later
+//!   point: the points it cannot answer fan out to chains forked from
+//!   it, one per rayon thread (the first chunk runs inline);
 //! * `proc_heap` — the heap-ops microbench behind the 4-ary rework:
 //!   a kernel-shaped `min → set_load → sift` loop on the shipped 4-ary
 //!   [`ProcHeap`] vs. a bench-local replica of the old binary layout,
@@ -43,7 +45,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use sws_core::pareto_sweep::rls_sweep;
+use sws_core::pareto_sweep::{delta_grid, rls_sweep};
 use sws_core::rls::{PriorityOrder, RlsConfig, RlsEngine};
 use sws_dag::DagInstance;
 use sws_listsched::kernel::ProcHeap;
@@ -170,11 +172,32 @@ fn bench_sweep_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_scaling");
     group.sample_size(10);
 
-    let inst = layered(1_500, 8, 0x5EEE);
+    // A grid the first run does not answer (the sweep bench's
+    // `binding_sweep_991x64`): the later points that replay fan out to
+    // chains forked from the first run, so the thread count shows.
+    let inst = dag_workload(
+        DagFamily::ForkJoin,
+        1_000,
+        64,
+        TaskDistribution::Bimodal,
+        &mut seeded_rng(0xBEEF),
+    );
+    let (lo, hi, points) = (2.01, 16.0, 200);
+    let grid = delta_grid(lo, hi, points).unwrap();
+    let mut chain = RlsEngine::new(&inst, PriorityOrder::Index);
+    chain.run(grid[0]).unwrap();
+    assert!(
+        grid[1..].iter().any(|&delta| {
+            chain.run(delta).unwrap();
+            chain.replayed_rounds() > Some(0)
+        }),
+        "the scaling sweep must replay at some later point"
+    );
     let cfg = RlsConfig::new(3.0);
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
+    let name = format!("rls_sweep_{points}deltas_{}x64", inst.n());
 
     // SWS_RAYON_THREADS is the shim's RAYON_NUM_THREADS: read per sweep,
     // so flipping it between benchmarks measures thread scaling. On a
@@ -182,20 +205,17 @@ fn bench_sweep_scaling(c: &mut Criterion) {
     // the serial one then doubles as a no-overhead regression check.
     std::env::set_var("SWS_RAYON_THREADS", "1");
     group.bench_with_input(
-        BenchmarkId::new("rls_sweep_32deltas", "serial-1-thread"),
+        BenchmarkId::new(name.as_str(), "serial-1-thread"),
         &inst,
-        |b, inst| b.iter(|| black_box(rls_sweep(black_box(inst), &cfg, 2.1, 16.0, 32).unwrap())),
+        |b, inst| b.iter(|| black_box(rls_sweep(black_box(inst), &cfg, lo, hi, points).unwrap())),
     );
     std::env::set_var("SWS_RAYON_THREADS", cores.to_string());
     // Pluralize the id correctly: `parallel-1-thread`, `parallel-8-threads`.
     let plural = if cores == 1 { "" } else { "s" };
     group.bench_with_input(
-        BenchmarkId::new(
-            "rls_sweep_32deltas",
-            format!("parallel-{cores}-thread{plural}"),
-        ),
+        BenchmarkId::new(name.as_str(), format!("parallel-{cores}-thread{plural}")),
         &inst,
-        |b, inst| b.iter(|| black_box(rls_sweep(black_box(inst), &cfg, 2.1, 16.0, 32).unwrap())),
+        |b, inst| b.iter(|| black_box(rls_sweep(black_box(inst), &cfg, lo, hi, points).unwrap())),
     );
     std::env::remove_var("SWS_RAYON_THREADS");
 

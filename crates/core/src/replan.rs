@@ -59,13 +59,17 @@ use sws_model::solve::{
 /// engine keeps their index-order fold in step with the instance rather
 /// than refolding all `n` tasks per event: a completion leaves it
 /// unchanged, an arrival folds in the one new task, and a re-estimate
-/// (the only delta that rewrites an existing cost) refolds it. Since
+/// (the only delta that rewrites an existing cost) refolds the
+/// processing-time half when it rewrites `p`, the storage half when it
+/// rewrites `s`, and neither when it rewrites no bit of either. Since
 /// every mutation updates it, a stale session's fold already matches
 /// the instance its cold re-solve runs on. The achieved objective point
-/// is kept the same way: a completion changes neither the schedule nor
-/// any cost, so it reuses the previous answer's point, while every delta
-/// that enters the kernel (a storage-only re-estimate included, whose
-/// `Mmax` moves even when no round replays) refolds it.
+/// is kept the same way, half by half: an answer that replays rounds
+/// refolds both, while one that shares the previous schedule keeps
+/// `Cmax` and refolds `Mmax` only when its delta rewrote `s`. So a
+/// completion reuses the whole point, and an uncapped storage-only
+/// re-estimate, which replays nothing, refolds the per-processor memory
+/// alone.
 ///
 /// The session's admission policy is **fixed at open**: `None` caps
 /// nothing (Graham DAG list scheduling — the kernel run's cap `+∞`),
@@ -86,9 +90,13 @@ pub struct ReplanEngine {
     /// The Graham bound fold of the live instance, kept in step with
     /// every mutation instead of refolded per event.
     totals: GrahamTotals,
-    /// The objective point of the cached run on the live instance, once
-    /// an answer has folded it; cleared by every instance mutation.
-    point: Option<ObjectivePoint>,
+    /// The makespan of the cached run on the live instance, once an
+    /// answer has folded it; cleared by a replay. A `p` rewrite that
+    /// replays nothing changed only a zero's sign, which no `start + p`
+    /// shows.
+    cmax: Option<f64>,
+    /// The peak memory, likewise; cleared by a replay or an `s` rewrite.
+    mmax: Option<f64>,
     /// The cached run no longer matches the instance: a capped apply
     /// mutated the CSR and then failed (infeasible). The next event
     /// re-solves cold instead of replaying.
@@ -122,7 +130,8 @@ impl ReplanEngine {
             completed: vec![false; n],
             memory: Vec::with_capacity(m),
             totals,
-            point: None,
+            cmax: None,
+            mmax: None,
             stale: false,
             events: 0,
             replayed_rounds: 0,
@@ -146,6 +155,8 @@ impl ReplanEngine {
     pub fn apply(&mut self, delta: &CsrDelta) -> Result<Solution, ModelError> {
         let csr = self.run.csr();
         delta.validate(csr.n())?;
+        // Whether a re-estimate rewrites `p` and `s`.
+        let mut rewritten = (false, false);
         let kdelta = match *delta {
             CsrDelta::CompleteTask { task } => {
                 self.completed[task as usize] = true;
@@ -165,6 +176,11 @@ impl ReplanEngine {
                     Some(v) if v > csr.s(i) => CostShift::Raised,
                     _ => CostShift::Unchanged,
                 };
+                // By bits: a signed-zero rewrite schedules alike but can
+                // move a sum's sign.
+                let rewrites =
+                    |new: Option<f64>, old: f64| new.is_some_and(|v| v.to_bits() != old.to_bits());
+                rewritten = (rewrites(p, csr.p(i)), rewrites(s, csr.s(i)));
                 Some(ReplanDelta::Recost {
                     task,
                     p_changed: p.is_some_and(|v| v != csr.p(i)),
@@ -175,18 +191,26 @@ impl ReplanEngine {
         };
         if kdelta.is_some() {
             self.run.csr_mut().apply_delta(delta)?;
-            self.point = None;
         }
         let n = self.n();
+        let csr = self.run.csr();
         match kdelta {
             Some(ReplanDelta::Arrival) => {
                 self.completed.push(false);
                 // The arrival takes the last index: the one step a
                 // from-scratch fold of the mutated instance ends with.
-                let csr = self.run.csr();
                 self.totals.step(csr.p(n - 1), csr.s(n - 1));
             }
-            Some(_) => self.totals = GrahamTotals::fold(self.run.csr()),
+            Some(_) => {
+                let (p, s) = rewritten;
+                if p {
+                    self.totals.fold_p(csr);
+                }
+                if s {
+                    self.totals.fold_s(csr);
+                    self.mmax = None;
+                }
+            }
             None => {}
         }
         let rounds = if kdelta.is_none() && !self.stale {
@@ -305,41 +329,47 @@ impl ReplanEngine {
 
     /// Packages the cached run as a [`Solution`] reporting `rounds`
     /// replayed rounds (zero when the answer comes straight from the
-    /// cache), folding its objective point only when no answer since the
-    /// last mutation has. The from-scratch oracle goes through
-    /// [`solve_from_scratch`], which calls the same [`objective`] and
+    /// cache), folding each half of its objective point only when a
+    /// replay or a cost rewrite since the last answer cleared it. The
+    /// from-scratch oracle goes through [`solve_from_scratch`], which
+    /// calls the same [`makespan`], [`peak_memory`] and
     /// [`solution_parts`] so the two are bit-identical field by field.
     fn solution_of(&mut self, rounds: usize) -> Solution {
+        if rounds > 0 {
+            (self.cmax, self.mmax) = (None, None);
+        }
         let schedule = &self.run.outcome().schedule;
         let (csr, m, cap) = (self.run.csr(), self.m, self.cap);
-        let point = *self
-            .point
-            .get_or_insert_with(|| objective(csr, m, schedule, &mut self.memory));
+        let cmax = *self.cmax.get_or_insert_with(|| makespan(csr, schedule));
+        let mmax = *self
+            .mmax
+            .get_or_insert_with(|| peak_memory(csr, m, schedule, &mut self.memory));
+        let point = ObjectivePoint::new(cmax, mmax);
         let bounds = self.totals.bounds(m);
         solution_parts(m, cap, schedule, point, bounds, rounds)
     }
 }
 
-/// The achieved `(Cmax, Mmax)` of `schedule` on `csr`: one pass over the
-/// tasks in index order, with `memory` as the per-processor scratch.
-fn objective(
-    csr: &CsrDag,
-    m: usize,
-    schedule: &TimedSchedule,
-    memory: &mut Vec<f64>,
-) -> ObjectivePoint {
+/// The achieved `Cmax` of `schedule` on `csr`: the latest completion,
+/// folded over the tasks in index order.
+fn makespan(csr: &CsrDag, schedule: &TimedSchedule) -> f64 {
+    (0..csr.n()).fold(0.0f64, |cmax, i| cmax.max(schedule.start(i) + csr.p(i)))
+}
+
+/// The achieved `Mmax` of `schedule` on `csr`: the largest
+/// per-processor storage sum, each summed over the tasks in index order
+/// in `memory`.
+fn peak_memory(csr: &CsrDag, m: usize, schedule: &TimedSchedule, memory: &mut Vec<f64>) -> f64 {
     memory.clear();
     memory.resize(m, 0.0);
-    let mut cmax = 0.0f64;
     for i in 0..csr.n() {
-        cmax = cmax.max(schedule.start(i) + csr.p(i));
         memory[schedule.proc_of(i)] += csr.s(i);
     }
-    ObjectivePoint::new(cmax, max_or_zero(memory.iter().copied()))
+    max_or_zero(memory.iter().copied())
 }
 
 /// Builds the replan backend's `Solution` from a finished run's
-/// schedule and its [`objective`] point, with `rounds` as its
+/// schedule and its objective point, with `rounds` as its
 /// replayed-round count — the single assembly path both
 /// [`ReplanEngine::apply`] and the [`solve_from_scratch`] oracle use, so
 /// warm and cold agree bit for bit on every field.
@@ -387,9 +417,10 @@ fn solution_parts(
 /// (see [`ReplanEngine`]): a completion leaves it as it is, an arrival
 /// takes one more [`GrahamTotals::step`] (the arrival has the last
 /// index, so this is the step a from-scratch fold ends with), and a
-/// re-estimate refolds it, since a sum cannot take a term back out
-/// exactly. Every path runs the same per-task operations in the same
-/// order, so the bounds, signed zeros included, match
+/// re-estimate refolds the half whose costs it rewrote, since a sum
+/// cannot take a term back out exactly. The two halves share no
+/// operation, and every path runs the same per-task operations in the
+/// same order, so the bounds, signed zeros included, match
 /// [`solve_from_scratch`]'s fresh fold bit for bit.
 #[derive(Debug, Default)]
 struct GrahamTotals {
@@ -400,14 +431,23 @@ struct GrahamTotals {
 }
 
 impl GrahamTotals {
-    /// The fold over every task of `csr`: one flat pass, no task-set
-    /// materialization.
+    /// The fold over every task of `csr`: one flat pass per half, no
+    /// task-set materialization.
     fn fold(csr: &CsrDag) -> Self {
         let mut totals = GrahamTotals::default();
-        for i in 0..csr.n() {
-            totals.step(csr.p(i), csr.s(i));
-        }
+        totals.fold_p(csr);
+        totals.fold_s(csr);
         totals
+    }
+
+    /// Refolds the processing-time half over every task of `csr`.
+    fn fold_p(&mut self, csr: &CsrDag) {
+        (self.p_max, self.p_sum) = max_and_sum(csr.proc_times());
+    }
+
+    /// Refolds the storage half over every task of `csr`.
+    fn fold_s(&mut self, csr: &CsrDag) {
+        (self.s_max, self.s_sum) = max_and_sum(csr.mem_sizes());
     }
 
     /// Folds in the next task (by index).
@@ -426,6 +466,14 @@ impl GrahamTotals {
             source: BoundSource::GrahamIdentical,
         }
     }
+}
+
+/// `(max, Σ)` of `costs` in index order: the steps of
+/// [`GrahamTotals::step`] for one half.
+fn max_and_sum(costs: &[f64]) -> (f64, f64) {
+    costs
+        .iter()
+        .fold((0.0f64, 0.0f64), |(max, sum), &c| (max.max(c), sum + c))
 }
 
 /// The differential oracle: a from-scratch solve of (the current state
@@ -449,7 +497,10 @@ pub fn solve_from_scratch(
             event_driven_schedule_csr(csr, m, &rank, &mut admission, ws)?
         }
     };
-    let point = objective(csr, m, &outcome.schedule, &mut Vec::with_capacity(m));
+    let point = ObjectivePoint::new(
+        makespan(csr, &outcome.schedule),
+        peak_memory(csr, m, &outcome.schedule, &mut Vec::with_capacity(m)),
+    );
     let bounds = GrahamTotals::fold(csr).bounds(m);
     Ok(solution_parts(
         m,

@@ -52,8 +52,11 @@
 //! * **checkpoint/replay** ([`CheckpointedRun`]): a run records each
 //!   round's placement and rejection threshold, plus stride-boundary
 //!   snapshots of the part of the resumable [`EngineState`] a replay
-//!   cannot rebuild from the run's own output, so a run at a
-//!   larger cap, or on an instance changed by an arrival or a cost
+//!   cannot rebuild from the run's own output — the processor heap, the
+//!   ready structures and the pending tie-group links, `O(m + pending +
+//!   n/64)` words; placements come from the run's schedule and the
+//!   readiness of the unplaced tasks is re-derived from it — so a run at
+//!   a larger cap, or on an instance changed by an arrival or a cost
 //!   re-estimate, replays only from the first round the change can
 //!   affect (and shares the previous run's output in `O(1)` when none
 //!   is) — the one warm-start engine behind the incremental Pareto
@@ -868,7 +871,7 @@ impl StepScratch {
 /// one cache line instead of two parallel arrays. The tie-group link
 /// fills the four bytes that would otherwise pad the struct to 16, so
 /// carrying it costs no memory in the state or its snapshots.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PredState {
     /// Maximum completion time over scheduled predecessors, maintained
     /// incrementally as predecessors are placed.
@@ -895,7 +898,9 @@ const NO_TASK: u32 = u32::MAX;
 /// machinery ([`CheckpointedRun`]) is built on. A checkpoint stores
 /// only the part of the state a replay cannot rebuild (see
 /// [`CheckpointedRun`]'s snapshot docs), so the state itself is not
-/// `Clone`.
+/// `Clone`. The readiness entry of a task is frozen once the task is
+/// placed and never read again: after a restore, the entries of placed
+/// tasks are dead and may hold whatever the workspace last ran.
 ///
 /// Task and rank indices are stored as `u32` (the CSR layer guarantees
 /// `n < u32::MAX`), which halves the ready structures' memory traffic.
@@ -914,10 +919,11 @@ const NO_TASK: u32 = u32::MAX;
 /// # Tie groups
 ///
 /// The pending side holds one heap entry per tie group (see the
-/// private `PendingHeap`); the group links live in `preds`, so a snapshot
-/// carries the groups with the rest of the state. A contested round
-/// walks each group it pops only up to the first member admissible on
-/// the least loaded processor: every member behind that one starts at
+/// private `PendingHeap`); the group links live in `preds`, and a
+/// snapshot stores the entries of the pending members to carry them.
+/// A contested round walks each group it pops only up to the first
+/// member admissible on the least loaded processor: every member
+/// behind that one starts at
 /// the same key with a worse `(rank, task)`, so — by the argument that
 /// lets the runnable scan stop at its first such task, and wherever the
 /// tolerant tie relation is transitive (see the module docs) — it
@@ -1584,25 +1590,28 @@ impl Admission for RecordingCapAdmission {
 
 /// Interval between state snapshots of a [`CheckpointedRun`]: bounded
 /// below so tiny instances don't snapshot every round, and proportional
-/// to `n` so a run never stores more than ~33 snapshots (`O(n)` memory
-/// per snapshot).
+/// to `n` so a run never stores more than ~33 snapshots.
 fn checkpoint_stride(n: usize) -> usize {
     (n / 32).max(32)
 }
 
 /// One stride-boundary snapshot of a checkpointed run, taken *before*
 /// round `round`: the part of the [`EngineState`] a replay cannot
-/// rebuild (the processor heap, the marked processors, the readiness
-/// bookkeeping with its tie-group links, and both ready structures) plus
-/// the per-processor memory committed so far. It holds no placement and
-/// no slot table: [`Checkpoint::restore`] rebuilds both (see the
-/// [`CheckpointedRun`] snapshot docs).
+/// rebuild (the processor heap, the marked processors, both ready
+/// structures and the readiness entries of the pending tie-group
+/// members, whose links record release order) plus the per-processor
+/// memory committed so far: `O(m + pending + n/64)` words. It holds no
+/// placement, no slot table and no other readiness entry:
+/// [`CheckpointedRun`]'s restore rebuilds them (see its snapshot docs).
 #[derive(Debug)]
 struct Checkpoint {
     round: usize,
+    /// Tasks in the instance when the snapshot was taken.
+    n: usize,
     procs: ProcHeap,
     marked: Vec<bool>,
-    preds: Vec<PredState>,
+    /// `(task, entry)` of every pending tie-group member, group by group.
+    members: Vec<(u32, PredState)>,
     pending: PendingHeap,
     runnable: RankBitmap,
     memsize: Vec<f64>,
@@ -1614,9 +1623,10 @@ impl Checkpoint {
     fn empty() -> Self {
         Checkpoint {
             round: 0,
+            n: 0,
             procs: ProcHeap::empty(),
             marked: Vec::new(),
-            preds: Vec::new(),
+            members: Vec::new(),
             pending: PendingHeap::default(),
             runnable: RankBitmap::default(),
             memsize: Vec::new(),
@@ -1628,27 +1638,38 @@ impl Checkpoint {
     /// allocations).
     fn stage(&mut self, state: &EngineState, memsize: &[f64]) {
         self.round = state.round;
+        self.n = state.preds.len();
         self.procs.clone_from(&state.procs);
         self.marked.clone_from(&state.marked);
-        self.preds.clone_from(&state.preds);
+        self.members.clear();
+        for &k in &state.pending.heap {
+            let mut t = task_of(pend_pack(k));
+            while t != NO_TASK {
+                let entry = state.preds[t as usize];
+                self.members.push((t, entry));
+                t = entry.next;
+            }
+        }
         self.pending.clone_from(&state.pending);
         self.runnable.clone_from(&state.runnable);
         self.memsize.clear();
         self.memsize.extend_from_slice(memsize);
     }
 
-    /// Restores the snapshot into `state`, reusing its buffers: the
-    /// stored parts are copied back, the placements of the snapshot's
-    /// `preds.len()` tasks come from `schedule` (the output of a run
-    /// that keeps or inherits this boundary), and the slot tables are
-    /// rebuilt over the first `preds.len()` entries of `rank`. The
-    /// [`CheckpointedRun`] snapshot docs give the invariant that makes
-    /// both equal to what a full snapshot would have stored.
+    /// Restores the stored parts into `state`, reusing its buffers: the
+    /// placements of the snapshot's `n` tasks come from `schedule` (the
+    /// output of a run that keeps or inherits this boundary), the slot
+    /// tables are rebuilt over the first `n` entries of `rank`, and the
+    /// readiness entries are sized for `n` tasks but left as they are:
+    /// the caller re-derives those of the unplaced tasks and writes the
+    /// stored `members` back over them. The [`CheckpointedRun`] snapshot
+    /// docs give the invariant that makes all of it equal to what a full
+    /// snapshot would have stored.
     fn restore(&self, state: &mut EngineState, schedule: &TimedSchedule, rank: &[u32]) {
-        let n = self.preds.len();
+        let n = self.n;
         state.procs.clone_from(&self.procs);
         state.marked.clone_from(&self.marked);
-        state.preds.clone_from(&self.preds);
+        resize_for_overwrite(&mut state.preds, n, PredState::default());
         state.pending.clone_from(&self.pending);
         state.runnable.clone_from(&self.runnable);
         state.proc_of.clear();
@@ -1809,16 +1830,26 @@ enum SnapshotPolicy {
 /// round, splices in every task the snapshot predates, and re-records
 /// from there.
 ///
-/// A snapshot stores only what a replay cannot rebuild: the processor
-/// heap, the marked processors, the per-task readiness bookkeeping
-/// (ready time, outstanding predecessors, tie-group link), the pending
-/// heap, the runnable bitmap, the committed memory and the round —
-/// 16 bytes per task plus the ready structures. A restore rebuilds the
-/// rest of the [`EngineState`]. It copies the placements (processor and
-/// start time) of the tasks the snapshot covers from the run's own
-/// schedule, and it rebuilds the slot tables over the snapshot's tasks
-/// with the slot builder a cold run uses, before the splice extends
-/// both. The copy rests on one invariant: **every run that keeps or
+/// A snapshot stores only what a replay cannot rebuild: the round, the
+/// task count, the processor heap, the marked processors, the committed
+/// memory, the pending heap, the runnable bitmap, and the readiness
+/// entry (ready time, outstanding predecessors, tie-group link) of each
+/// pending tie-group member, whose link records release order —
+/// `O(m + pending + n/64)` words, independent of how many tasks the
+/// boundary has placed. A restore rebuilds the rest of the
+/// [`EngineState`]. It copies the placements (processor and start time)
+/// of the tasks the snapshot covers from the run's own schedule, it
+/// rebuilds the slot tables over the snapshot's tasks with the slot
+/// builder a cold run uses, and it re-derives the ready time and the
+/// outstanding-predecessor count of every task the boundary leaves
+/// unplaced (`records.placed[round..]`) from its predecessors'
+/// placements in that schedule, through the helper the splice of
+/// arrivals uses, before the splice extends all three. That costs
+/// `O(edges of the replayed suffix)`, never more than the replay that
+/// follows. The readiness entries of placed tasks are not restored:
+/// they are dead, whatever the workspace last held there.
+///
+/// The rebuild rests on one invariant: **every run that keeps or
 /// inherits a boundary placed the tasks of the boundary's prefix exactly
 /// as the run that took it.** The run that takes a boundary placed them
 /// itself; a replay inherits only the boundaries before the one it
@@ -1827,7 +1858,13 @@ enum SnapshotPolicy {
 /// until the replay places them, as a cold run's reused buffers do.)
 /// The slot tables match the stored ones because a rank the records
 /// accept agrees with the recorded rank on every task the snapshot
-/// covers, and each later arrival sorts after all of them.
+/// covers, and each later arrival sorts after all of them. The
+/// re-derived readiness is bit-exact for three reasons: a placed task's
+/// entry is frozen at placement and never read again; the ready time is
+/// a max, so the order of its terms and their rounding do not matter;
+/// and the restore points above keep every task re-estimated since a
+/// snapshot unplaced at it, so each completion it reads carries the
+/// processing time it was placed with.
 ///
 /// # Fallback
 ///
@@ -2075,32 +2112,74 @@ impl CheckpointedRun {
     }
 
     /// Rebuilds in the workspace the state a replay from kept snapshot
-    /// `ci` starts from: the snapshot restored, then every task it
-    /// predates spliced in.
+    /// `ci` starts from: the snapshot restored, the readiness of every
+    /// task it leaves unplaced re-derived (`records.placed[round..]`,
+    /// the links of the pending members written back over it), then
+    /// every task it predates spliced in.
     fn restore(&self, ci: usize, rank: &PriorityRank, ws: &mut KernelWorkspace) {
         let ck = &self.checkpoints[ci];
         ck.restore(&mut ws.state, &self.outcome.schedule, rank);
+        for &t in &self.records.placed[ck.round..] {
+            let t = t as usize;
+            // Later tasks are the splice's.
+            if t < ck.n {
+                ws.state.preds[t] = self.readiness(t, ck.round);
+            }
+        }
+        for &(t, entry) in &ck.members {
+            ws.state.preds[t as usize] = entry;
+        }
         self.adapt_new_tasks(rank, ck.round, ws);
+    }
+
+    /// The readiness entry of `task` before round `at` of any run that
+    /// placed its first `at` rounds as this one did: the latest
+    /// completion, in this run's schedule, of the predecessors this run
+    /// placed before round `at`, and the count of the others. Exactly
+    /// the entry the run held there, for a task it had not yet placed:
+    /// the ready time is a max, so neither the order of the terms nor
+    /// their rounding matters, and no predecessor placed before `at` has
+    /// been re-estimated since (see the snapshot docs). A missing
+    /// predecessor (an arrival not yet recorded) counts as outstanding.
+    fn readiness(&self, task: usize, at: usize) -> PredState {
+        let (csr, place_round) = (&self.csr, &self.records.place_round);
+        let mut ready = 0.0f64;
+        let mut remaining = 0u32;
+        for &u in csr.preds(task) {
+            let u = u as usize;
+            if u < place_round.len() && (place_round[u] as usize) < at {
+                ready = ready.max(self.outcome.schedule.start(u) + csr.p(u));
+            } else {
+                remaining += 1;
+            }
+        }
+        PredState {
+            ready,
+            remaining,
+            next: NO_TASK,
+        }
     }
 
     /// Splices every task the restored snapshot predates into the
     /// state. A snapshot taken before round `at` can be older than
     /// several arrivals — earlier replans keep the snapshots before
     /// their restore point, and those snapshots keep their pre-arrival
-    /// task count — so all of `state.n .. csr.n()` is (re-)spliced, in
+    /// task count — so all of `ck.n .. csr.n()` is (re-)spliced, in
     /// index order.
     ///
-    /// For each spliced task: predecessors the restored prefix already
-    /// placed contribute their completions to its ready time; the rest
-    /// will find it on their successor lists during the replay (the CSR
-    /// is mutated in place) and decrement it like any other frontier
-    /// task. A kept snapshot always predates the splice point of every
-    /// task it is missing (`ck.round < place_round[t]`, because each
-    /// arrival's replay restored at or before its ready round), so a
-    /// missing predecessor is never read for its start time — it is
-    /// counted as outstanding instead. A task ready at restore time
-    /// enters the ready structures exactly where a from-scratch run's
-    /// migration would put it: runnable iff its ready time is
+    /// Each spliced task's readiness comes from
+    /// [`CheckpointedRun::readiness`], the derivation a restore runs for
+    /// the snapshot's own unplaced tasks: predecessors the restored
+    /// prefix already placed contribute their completions to its ready
+    /// time; the rest will find it on their successor lists during the
+    /// replay (the CSR is mutated in place) and decrement it like any
+    /// other frontier task. A kept snapshot always predates the splice
+    /// point of every task it is missing (`ck.round < place_round[t]`,
+    /// because each arrival's replay restored at or before its ready
+    /// round), so a missing predecessor is never read for its start time
+    /// — it is counted as outstanding instead. A task ready at restore
+    /// time enters the ready structures exactly where a from-scratch
+    /// run's migration would put it: runnable iff its ready time is
     /// (approximately) at or below the minimum load, pending otherwise,
     /// as a singleton tie group. (A from-scratch run may group it with
     /// siblings of the same ready time; ranked last, it trails them, and
@@ -2111,7 +2190,6 @@ impl CheckpointedRun {
     /// so the restored slot tables extend without renumbering.
     fn adapt_new_tasks(&self, rank: &PriorityRank, at: usize, ws: &mut KernelWorkspace) {
         let n = self.csr.n();
-        let place_round = &self.records.place_round;
         let state = &mut ws.state;
         if state.preds.len() >= n {
             return;
@@ -2121,33 +2199,20 @@ impl CheckpointedRun {
         // an enumerate over `rank` would obscure the splice semantics.
         #[allow(clippy::needless_range_loop)]
         for t in state.preds.len()..n {
-            let mut ready = 0.0f64;
-            let mut remaining = 0u32;
-            for &u in self.csr.preds(t) {
-                let u = u as usize;
-                if u < place_round.len() && (place_round[u] as usize) < at {
-                    ready = ready.max(state.start[u] + self.csr.p(u));
-                } else {
-                    remaining += 1;
-                }
-            }
-            state.preds.push(PredState {
-                ready,
-                remaining,
-                next: NO_TASK,
-            });
+            let entry = self.readiness(t, at);
+            state.preds.push(entry);
             state.proc_of.push(0);
             state.start.push(0.0);
             state.slot_of_task.push(t as u32);
             state.task_of_slot.push(t as u32);
-            if remaining == 0 {
-                if approx_le(ready, state.procs.min_load()) {
+            if entry.remaining == 0 {
+                if approx_le(entry.ready, state.procs.min_load()) {
                     state.runnable.insert(t as u32);
                 } else {
                     // A singleton tie group.
                     state
                         .pending
-                        .push(pend_key(ready, rank_task(rank[t], t as u32)));
+                        .push(pend_key(entry.ready, rank_task(rank[t], t as u32)));
                 }
             }
         }
@@ -2197,8 +2262,8 @@ impl CheckpointedRun {
         }
         let (m, cap) = (ws.state.procs.m(), admission.inner.cap);
         let outcome = ws.state.finish(m)?;
-        records.place_round = vec![0; n];
-        for (r, &t) in records.placed.iter().enumerate() {
+        // The rounds before `first` placed what the records say already.
+        for (r, &t) in records.placed.iter().enumerate().skip(first) {
             records.place_round[t as usize] = r as u32;
         }
         Ok(CheckpointedRun {
@@ -2287,25 +2352,31 @@ struct Records {
     /// round `r` (∞ when it rejected nothing).
     reject_min: Vec<f64>,
     /// `place_round[i]`: the round that placed task `i` (inverse of
-    /// `placed`, rebuilt at the end of every drive).
+    /// `placed`; each drive rewrites the entries of the rounds it runs).
     place_round: Vec<u32>,
 }
 
 impl Records {
     /// The records of the rounds before `round`, with room for `n`
-    /// rounds so the drive loop never reallocates them.
+    /// rounds so the drive loop never reallocates them, and this run's
+    /// `place_round` grown to `n` tasks: the entries of the tasks placed
+    /// before `round` are already right, and the drive rewrites the
+    /// others.
     fn prefix(&self, round: usize, n: usize) -> Records {
         fn head<T: Copy>(v: &[T], round: usize, n: usize) -> Vec<T> {
             let mut head = Vec::with_capacity(n);
             head.extend_from_slice(&v[..round]);
             head
         }
+        let mut place_round = Vec::with_capacity(n);
+        place_round.extend_from_slice(&self.place_round);
+        place_round.resize(n, 0);
         Records {
             placed: head(&self.placed, round, n),
             winner_key: head(&self.winner_key, round, n),
             min_load: head(&self.min_load, round, n),
             reject_min: head(&self.reject_min, round, n),
-            place_round: Vec::new(),
+            place_round,
         }
     }
 }
@@ -3280,47 +3351,139 @@ mod tests {
         }
     }
 
+    /// The ready tasks of `state`, sorted: every member of a pending tie
+    /// group and every runnable task. A set, so neither the heap layout
+    /// nor the group links enter a comparison.
+    fn ready_set(state: &EngineState) -> Vec<u32> {
+        let mut ready = Vec::new();
+        for &k in &state.pending.heap {
+            let mut t = task_of(pend_pack(k));
+            while t != NO_TASK {
+                ready.push(t);
+                t = state.preds[t as usize].next;
+            }
+        }
+        for (w, &word) in state.runnable.l0.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                ready.push(state.task_of_slot[w * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+        ready.sort_unstable();
+        ready
+    }
+
     /// Asserts the restore invariant at every kept boundary of `run`: the
     /// placements and slot tables a restore rebuilds (and the processor
     /// loads and marks it copies) equal those of a plain cold run of the
-    /// run's instance and rank stepped to the boundary's round. The
-    /// placements compared are those of the tasks the cold run placed so
-    /// far, start times by bit pattern. Returns the boundaries checked.
+    /// run's instance and rank stepped to the boundary's round, and so do
+    /// the ready time (by bit pattern) and outstanding-predecessor count
+    /// of every task the boundary leaves unplaced and the set of ready
+    /// tasks. The placements compared are those of the tasks the cold run
+    /// placed so far, start times by bit pattern. Each boundary is
+    /// restored through a fresh workspace and through one that last ran
+    /// a larger instance, whose stale readiness entries the placed tasks
+    /// keep; that restore then replays to the run's own outcome, so no
+    /// stale entry is read. Returns the boundaries checked.
     fn assert_restores_match_cold(run: &CheckpointedRun, what: &str) -> usize {
+        use sws_workloads::{dagsets, TaskDistribution};
         let (csr, rank, m) = (run.csr(), run.rank(), run.m);
+        let (n, cap) = (csr.n(), run.cap());
+        let other = dagsets::dag_workload(
+            dagsets::DagFamily::ForkJoin,
+            n + 40,
+            m + 1,
+            TaskDistribution::Bimodal,
+            &mut sws_workloads::seeded_rng(0xBAD),
+        );
+        let (other_csr, other_rank) = (other.csr(), index_priority(other.n()));
         for ci in 0..run.checkpoints.len() {
-            let round = run.checkpoints[ci].round;
-            let mut warm = KernelWorkspace::new();
-            run.restore(ci, rank, &mut warm);
+            let ck = &run.checkpoints[ci];
             let mut cold = KernelWorkspace::new();
             cold.state.init(csr, m, rank);
-            let mut admission = MemoryCapAdmission::new(m, run.cap());
-            let mut placed = Vec::with_capacity(round);
-            while cold.state.round < round {
+            let mut admission = MemoryCapAdmission::new(m, cap);
+            let mut placed = vec![false; n];
+            while cold.state.round < ck.round {
                 let (task, _) = cold
                     .state
                     .step(csr, rank, &mut admission, &mut cold.scratch)
                     .unwrap();
-                placed.push(task as usize);
+                placed[task as usize] = true;
             }
-            let (warm, cold) = (&warm.state, &cold.state);
-            let ctx = format!("{what}: boundary {round}");
-            assert_eq!(warm.round, cold.round, "{ctx}");
-            for &t in &placed {
-                assert_eq!(warm.proc_of[t], cold.proc_of[t], "{ctx}: task {t}");
-                assert_eq!(
-                    warm.start[t].to_bits(),
-                    cold.start[t].to_bits(),
-                    "{ctx}: task {t}"
-                );
+            let cold = &cold.state;
+            let mut stale = KernelWorkspace::new();
+            let other = &mut Unrestricted;
+            event_driven_schedule_csr(&other_csr, m + 1, &other_rank, other, &mut stale).unwrap();
+            for (mut ws, label) in [(KernelWorkspace::new(), "fresh"), (stale, "stale")] {
+                run.restore(ci, rank, &mut ws);
+                let warm = &ws.state;
+                let ctx = format!("{what}: boundary {} ({label} workspace)", ck.round);
+                assert_eq!(warm.round, cold.round, "{ctx}");
+                for (t, &placed) in placed.iter().enumerate() {
+                    if placed {
+                        assert_eq!(warm.proc_of[t], cold.proc_of[t], "{ctx}: task {t}");
+                        assert_eq!(
+                            warm.start[t].to_bits(),
+                            cold.start[t].to_bits(),
+                            "{ctx}: task {t}"
+                        );
+                    } else {
+                        let (w, c) = (warm.preds[t], cold.preds[t]);
+                        assert_eq!(w.ready.to_bits(), c.ready.to_bits(), "{ctx}: task {t}");
+                        assert_eq!(w.remaining, c.remaining, "{ctx}: task {t}");
+                    }
+                }
+                assert_eq!(ready_set(warm), ready_set(cold), "{ctx}");
+                assert_eq!(warm.slot_of_task, cold.slot_of_task, "{ctx}");
+                assert_eq!(warm.task_of_slot, cold.task_of_slot, "{ctx}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(warm.procs.loads()), bits(cold.procs.loads()), "{ctx}");
+                assert_eq!(warm.marked, cold.marked, "{ctx}");
+                if label == "stale" {
+                    let mut admission = MemoryCapAdmission {
+                        memsize: ck.memsize.clone(),
+                        cap,
+                    };
+                    let KernelWorkspace { state, scratch, .. } = &mut ws;
+                    while state.round < n {
+                        state.step(csr, rank, &mut admission, scratch).unwrap();
+                    }
+                    let replayed = state.finish(m).unwrap();
+                    assert_same_bits(&replayed.schedule, &run.outcome().schedule, &ctx);
+                }
             }
-            assert_eq!(warm.slot_of_task, cold.slot_of_task, "{ctx}");
-            assert_eq!(warm.task_of_slot, cold.task_of_slot, "{ctx}");
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(warm.procs.loads()), bits(cold.procs.loads()), "{ctx}");
-            assert_eq!(warm.marked, cold.marked, "{ctx}");
         }
         run.checkpoints.len()
+    }
+
+    /// A snapshot's size does not grow with the tasks its boundary has
+    /// placed: on a chain only the next task is ever ready, so every kept
+    /// boundary of a 10 000-task session stores at most one pending
+    /// member and one pending entry, and a restore still matches a cold
+    /// run stepped to it.
+    #[test]
+    fn chain_snapshots_store_at_most_one_member() {
+        let inst = DagInstance::new(chain(10_000), 4).unwrap();
+        let (n, m) = (inst.n(), inst.m());
+        let rank = Arc::new(index_priority(n));
+        let mut ws = KernelWorkspace::new();
+        let run = CheckpointedRun::session(Arc::new(inst.csr()), m, rank, f64::INFINITY, &mut ws)
+            .unwrap();
+        assert_eq!(run.checkpoints.len(), n.div_ceil(checkpoint_stride(n)));
+        for ck in run.checkpoints.iter() {
+            assert!(ck.members.len() <= 1, "boundary {}", ck.round);
+            assert!(ck.pending.heap.len() <= 1, "boundary {}", ck.round);
+            assert_eq!(ck.procs.m(), m);
+            assert_eq!(ck.runnable.l0.len(), n.div_ceil(64));
+        }
+        let last = run.checkpoints.len() - 1;
+        let mut warm = KernelWorkspace::new();
+        run.restore(last, run.rank(), &mut warm);
+        assert_eq!(
+            ready_set(&warm.state),
+            vec![run.records.placed[run.checkpoints[last].round]]
+        );
     }
 
     proptest::proptest! {

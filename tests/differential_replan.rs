@@ -287,6 +287,51 @@ fn completions_answer_from_cache_and_stay_bit_identical() {
     assert_eq!(engine.replayed_rounds(), 0);
 }
 
+/// Re-estimates that rewrite only `p`, only `s`, or no bit at all,
+/// signed-zero rewrites among them, between completions. A session
+/// refolds only the bound and objective halves a re-estimate rewrote;
+/// every answer, capped and uncapped, still equals the from-scratch
+/// oracle bit for bit, bounds and point included.
+#[test]
+fn partial_and_unchanged_re_estimates_match_from_scratch() {
+    let base = base_csr(DagFamily::ForkJoin, 20, 3, 55);
+    let n = base.n() as u32;
+    let recost = |task, p, s| CsrDelta::Recost { task, p, s };
+    let mut stream = Vec::new();
+    // Zero every cost, a half at a time, with sign-only rewrites and
+    // unchanged re-estimates in between: the totals end as sums of
+    // zeros of both signs.
+    for task in 0..n {
+        stream.extend([
+            recost(task, Some(0.0), None),
+            recost(task, None, Some(-0.0)),
+            recost(task, Some(0.0), Some(-0.0)),
+            recost(task, Some(-0.0), None),
+            recost(task, None, Some(0.0)),
+            recost(task, None, Some(-0.0)),
+        ]);
+    }
+    // Restore the original costs, a half at a time, then re-estimate
+    // every task to the bits it already has, completing some.
+    for task in 0..n {
+        let i = task as usize;
+        stream.push(recost(task, Some(base.p(i)), None));
+        stream.push(recost(task, None, Some(base.s(i))));
+    }
+    for task in 0..n {
+        let i = task as usize;
+        stream.push(recost(task, Some(base.p(i)), Some(base.s(i))));
+        if task % 3 == 0 {
+            stream.push(CsrDelta::CompleteTask { task });
+        }
+    }
+    let mut ws = KernelWorkspace::new();
+    let m = 3;
+    drive_stream(base.clone(), m, None, &stream, &mut ws, "uncapped");
+    let cap = feasible_cap(&base, &stream, m);
+    drive_stream(base, m, Some(cap), &stream, &mut ws, "capped");
+}
+
 /// Regression pin for the pre-existing cap-resume machinery: a
 /// [`CheckpointedRun`] warm-resumed through increasing caps stays
 /// bit-identical to cold runs at each cap — the delta-replan layer must
