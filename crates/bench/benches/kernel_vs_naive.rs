@@ -22,10 +22,10 @@
 //!   DAG (n = 991, m = 64) whose first run does not answer every later
 //!   point: the points it cannot answer fan out to chains forked from
 //!   it, one per rayon thread (the first chunk runs inline);
-//! * `proc_heap` — the heap-ops microbench behind the 4-ary rework:
-//!   a kernel-shaped `min → set_load → sift` loop on the shipped 4-ary
-//!   [`ProcHeap`] vs. a bench-local replica of the old binary layout,
-//!   at `m = 32` and `m = 512`.
+//! * `proc_heap` — the processor-load microbench: a kernel-shaped
+//!   `min → set_load` loop on the shipped tournament tree
+//!   ([`ProcHeap`]) vs. a bench-local copy of the 4-ary heap it
+//!   replaced, at the workloads' `m = 8` and at `m = 32` and `512`.
 //!
 //! Regenerate the committed baseline with:
 //!
@@ -222,20 +222,21 @@ fn bench_sweep_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Bench-local replica of the pre-rework **binary** indexed heap: packed
-/// `(load bits, processor)` keys in `Vec<(u64, u32)>`, children of `i`
-/// at `2i+1`/`2i+2`. Kept here (not in the library) purely as the
-/// microbench baseline for the 4-ary layout.
-struct BinaryProcHeap {
-    key: Vec<(u64, u32)>,
+/// Bench-local copy of the indexed **4-ary** processor heap the
+/// tournament tree replaced: packed `(load bits << 32) | processor`
+/// `u128` keys, a `pos` index, children of `i` at `4i+1 ..= 4i+4`, a
+/// branchless min-of-four select and a sift-down with an early stop.
+/// Kept here (not in the library) purely as the microbench baseline.
+struct FourAryProcHeap {
+    key: Vec<u128>,
     pos: Vec<u32>,
     load: Vec<f64>,
 }
 
-impl BinaryProcHeap {
+impl FourAryProcHeap {
     fn new(m: usize) -> Self {
-        BinaryProcHeap {
-            key: (0..m).map(|q| (0u64, q as u32)).collect(),
+        FourAryProcHeap {
+            key: (0..m).map(|q| q as u128).collect(),
             pos: (0..m as u32).collect(),
             load: vec![0.0; m],
         }
@@ -243,54 +244,77 @@ impl BinaryProcHeap {
 
     #[inline]
     fn min(&self) -> usize {
-        self.key[0].1 as usize
+        self.key[0] as u32 as usize
+    }
+
+    #[inline]
+    fn min_child4(&self, first: usize) -> usize {
+        let a = if self.key[first + 1] < self.key[first] {
+            first + 1
+        } else {
+            first
+        };
+        let b = if self.key[first + 3] < self.key[first + 2] {
+            first + 3
+        } else {
+            first + 2
+        };
+        if self.key[b] < self.key[a] {
+            b
+        } else {
+            a
+        }
     }
 
     fn set_load(&mut self, q: usize, new_load: f64) {
         self.load[q] = new_load;
         let mut at = self.pos[q] as usize;
-        self.key[at] = ((new_load + 0.0).to_bits(), q as u32);
+        self.key[at] = (((new_load + 0.0).to_bits() as u128) << 32) | q as u128;
         loop {
-            let l = 2 * at + 1;
-            if l >= self.key.len() {
+            let first = 4 * at + 1;
+            if first >= self.key.len() {
                 return;
             }
-            let r = l + 1;
-            let best = if r < self.key.len() && self.key[r] < self.key[l] {
-                r
+            let best = if first + 4 <= self.key.len() {
+                self.min_child4(first)
             } else {
-                l
+                (first..self.key.len())
+                    .min_by_key(|&c| self.key[c])
+                    .expect("first < len")
             };
             if self.key[at] <= self.key[best] {
                 return;
             }
             self.key.swap(at, best);
-            self.pos[self.key[at].1 as usize] = at as u32;
-            self.pos[self.key[best].1 as usize] = best as u32;
+            self.pos[self.key[at] as u32 as usize] = at as u32;
+            self.pos[self.key[best] as u32 as usize] = best as u32;
             at = best;
         }
     }
 }
 
-/// The kernel-shaped heap loop: pop the least-loaded processor, raise
-/// its load by the next task weight, sift. One iteration = `rounds`
-/// such placements from a zeroed heap.
+/// The kernel-shaped update loop: take the least-loaded processor,
+/// raise its load by the next task weight. One iteration = `rounds`
+/// such placements from a zeroed structure, on the shipped tournament
+/// tree ([`ProcHeap`]) and on the 4-ary heap it replaced, at the
+/// benchmark workloads' `m = 8` and at 32 and 512.
 fn bench_proc_heap(c: &mut Criterion) {
     let mut group = c.benchmark_group("proc_heap");
     group.sample_size(if quick() { 10 } else { 20 });
 
     // Deterministic pseudo-random weights (the SplitMix64 stream behind
-    // `derive_seed`): enough spread to make sift depths realistic.
+    // `derive_seed`): enough spread that the updated processor's new
+    // rank varies.
     let rounds = 10_000usize;
     let weights: Vec<f64> = (0..rounds)
         .map(|i| 0.5 + (sws_workloads::rng::derive_seed(0x4EAF, i as u64) % 1_000) as f64 / 100.0)
         .collect();
 
-    for &m in &[32usize, 512] {
+    for &m in &[8usize, 32, 512] {
         group.throughput(Throughput::Elements(rounds as u64));
-        group.bench_with_input(BenchmarkId::new("sift/binary", m), &m, |b, &m| {
+        group.bench_with_input(BenchmarkId::new("update/4ary", m), &m, |b, &m| {
             b.iter(|| {
-                let mut heap = BinaryProcHeap::new(m);
+                let mut heap = FourAryProcHeap::new(m);
                 for &w in &weights {
                     let q = heap.min();
                     heap.set_load(q, heap.load[q] + w);
@@ -298,7 +322,7 @@ fn bench_proc_heap(c: &mut Criterion) {
                 black_box(heap.min())
             })
         });
-        group.bench_with_input(BenchmarkId::new("sift/4ary", m), &m, |b, &m| {
+        group.bench_with_input(BenchmarkId::new("update/tournament", m), &m, |b, &m| {
             b.iter(|| {
                 let mut heap = ProcHeap::new(m);
                 for &w in &weights {

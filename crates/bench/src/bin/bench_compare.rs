@@ -7,12 +7,13 @@
 //!
 //! ```text
 //! bench_compare <fresh.json> <baseline.json> \
-//!     [--filter /kernel/] [--threshold-pct 20] [--report out.txt]
+//!     [--filter /kernel/]... [--threshold-pct 20] [--report out.txt]
 //! ```
 //!
-//! Only rows whose id contains the filter substring (default
+//! Only rows whose id contains a filter substring participate; the
+//! flag repeats, and a row matching any filter takes part (default
 //! `/kernel/`, i.e. the kernel serving-path rows, not the naive-oracle
-//! or sweep rows) participate. Rows present in only one file are
+//! or sweep rows). Rows present in only one file are
 //! reported but never fail the gate: quick mode intentionally skips the
 //! slow rows, and new rows have no baseline yet. The human-readable
 //! comparison table goes to stdout and, with `--report`, to a file CI
@@ -77,13 +78,13 @@ fn load(path: &str) -> Result<Vec<Row>, String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positional = Vec::new();
-    let mut filter = "/kernel/".to_string();
+    let mut filters: Vec<String> = Vec::new();
     let mut threshold_pct = 20.0f64;
     let mut report_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--filter" => filter = it.next().expect("--filter needs a value").clone(),
+            "--filter" => filters.push(it.next().expect("--filter needs a value").clone()),
             "--threshold-pct" => {
                 threshold_pct = it
                     .next()
@@ -98,10 +99,14 @@ fn main() -> ExitCode {
     if positional.len() != 2 {
         eprintln!(
             "usage: bench_compare <fresh.json> <baseline.json> \
-             [--filter SUBSTR] [--threshold-pct N] [--report FILE]"
+             [--filter SUBSTR]... [--threshold-pct N] [--report FILE]"
         );
         return ExitCode::from(2);
     }
+    if filters.is_empty() {
+        filters.push("/kernel/".to_string());
+    }
+    let gated = |id: &str| filters.iter().any(|f| id.contains(f.as_str()));
 
     let (fresh, baseline) = match (load(&positional[0]), load(&positional[1])) {
         (Ok(f), Ok(b)) => (f, b),
@@ -116,7 +121,7 @@ fn main() -> ExitCode {
     let mut out = String::new();
     out.push_str(&format!(
         "bench_compare: rows matching {:?}, gate at +{threshold_pct:.0}% median\n\n",
-        filter
+        filters
     ));
     out.push_str(&format!(
         "{:<45} {:>12} {:>12} {:>8}  verdict\n",
@@ -124,7 +129,7 @@ fn main() -> ExitCode {
     ));
 
     let mut regressions = 0usize;
-    for row in fresh.iter().filter(|r| r.id.contains(&filter)) {
+    for row in fresh.iter().filter(|r| gated(&r.id)) {
         match baseline.iter().find(|b| b.id == row.id) {
             Some(base) => {
                 let delta_pct =
@@ -148,7 +153,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    for base in baseline.iter().filter(|b| b.id.contains(&filter)) {
+    for base in baseline.iter().filter(|b| gated(&b.id)) {
         if !fresh.iter().any(|r| r.id == base.id) {
             out.push_str(&format!(
                 "{:<45} {:>12} {:>12} {:>8}  missing from fresh run\n",

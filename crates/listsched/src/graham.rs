@@ -19,7 +19,7 @@ use crate::kernel::ProcHeap;
 /// for memory scheduling). Tasks not present in `order` keep the default
 /// processor 0, but normal callers pass a permutation of `0..n`.
 ///
-/// Runs on the event-driven kernel's indexed processor heap
+/// Runs on the event-driven kernel's processor-load tournament tree
 /// ([`crate::kernel::ProcHeap`]): `O(n·log m)` instead of the naive
 /// `O(n·m)` scan (kept as `sws_oracle::list_schedule`), with the same
 /// lowest-index tie-break.

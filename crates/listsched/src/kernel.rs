@@ -39,7 +39,8 @@
 //!   three-level hierarchical bitmap) and a ready-time keyed 4-ary
 //!   *pending* heap of tie groups ([`EngineState`] describes how a
 //!   round walks them);
-//! * an **indexed 4-ary min-heap over processor loads** ([`ProcHeap`]) whose
+//! * a **tournament tree over processor loads** ([`ProcHeap`]): a
+//!   placement replays the `log₂ m` matches on one leaf's path, and an
 //!   ordered traversal ([`ProcHeap::probe`]) finds the least loaded
 //!   processor satisfying a pluggable **admissibility predicate**
 //!   ([`Admission`]) — plain Graham ([`Unrestricted`]) and RLS∆'s
@@ -141,62 +142,78 @@ fn task_of(pack: u64) -> u32 {
     pack as u32
 }
 
-/// Indexed **4-ary** min-heap over processor loads, ordered by
+/// Tournament (winner) tree over processor loads, ordered by
 /// `(load, processor index)` so ties resolve towards the lowest index —
 /// the same tie-break as the naive `argmin` scans.
 ///
+/// The leaves are the processors, padded to the next power of two with
+/// `u64::MAX` keys; each internal node holds the winner of its subtree,
+/// as its load key (`time_key`: loads are non-negative, so the bit
+/// pattern orders like the value and never reaches `u64::MAX`) and its
+/// index. A left subtree always holds the lower indices, so a match in
+/// which the right child wins only on a *strictly* smaller key is the
+/// `(load, index)` order, and a subtree won by a padding leaf holds only
+/// padding.
+///
 /// Loads only ever increase (a placement raises one processor's load to
-/// the placed task's completion time), so the heap needs only
-/// `sift_down`. The layout is structure-of-arrays: one contiguous `key`
-/// stripe of packed `(load bits << 32) | processor` integers (loads are
-/// non-negative, so the bit pattern orders like the value — see
-/// `time_key` — and the pack makes every sift comparison a *single*
-/// integer compare with the index tie-break built in), plus the `pos`
-/// index and the `f64` `load` array serving only by-processor lookups.
-/// The 4-ary fanout puts all children of a node in one 64-byte stripe
-/// (4 × 16-byte keys), and the min-of-children is a branchless select
-/// tournament on the integer keys, so the once-per-round `set_load`
-/// sift touches `log₄ m` predictable cache lines instead of `log₂ m`
-/// scattered ones.
+/// the placed task's completion time), and [`ProcHeap::set_load`]
+/// replays the `log₂ m` matches on the raised leaf's path: a fixed trip
+/// count and a branch-free select per level, so no branch in the update
+/// depends on the loads. The sibling each match reads does not depend on
+/// the previous match, so the loads issue together. At `m = 8` the tree
+/// is 256 bytes of nodes.
 #[derive(Debug)]
 pub struct ProcHeap {
-    /// `key[pos]` = `(load bits << 32) | processor id`, min-heap ordered
-    /// with 4-ary fanout (children of `i` are `4i+1 ..= 4i+4`).
-    key: Vec<u128>,
-    /// `pos[q]` = position of processor `q` in `key`.
-    pos: Vec<u32>,
-    /// Current load of each processor (kept in sync with the packed
-    /// keys; serves the by-processor `load()` lookups).
+    /// `node[1]` is the root, the children of `v` are `2v` and `2v + 1`,
+    /// and processor `q`'s leaf is `node[width + q]` for the padded
+    /// `width = node.len() / 2`; `node[0]` is a padding sentinel.
+    node: Vec<Winner>,
+    /// Current load of each processor (kept in sync with the leaf keys;
+    /// serves the by-processor `load()` lookups and `loads()`).
     load: Vec<f64>,
 }
 
-/// Packs `(load, processor)` into one integer whose unsigned order is
-/// the lexicographic pair order.
-#[inline]
-fn proc_key(load: f64, q: u32) -> u128 {
-    ((time_key(load) as u128) << 32) | q as u128
+/// One node of the [`ProcHeap`] tree: the winner of its subtree.
+#[derive(Debug, Clone, Copy)]
+struct Winner {
+    /// `time_key` of the winner's load; `u64::MAX` for padding.
+    key: u64,
+    /// The winner's processor index; `u32::MAX` for padding.
+    q: u32,
 }
 
-/// Processor id of a [`proc_key`] pack.
-#[inline]
-fn proc_of_key(k: u128) -> usize {
-    k as u32 as usize
+impl Winner {
+    /// A padding leaf: its key is above every load's key.
+    const PADDING: Winner = Winner {
+        key: u64::MAX,
+        q: u32::MAX,
+    };
+
+    #[inline]
+    fn is_padding(self) -> bool {
+        self.key == u64::MAX
+    }
+
+    /// Whether `self` comes before `other` in `(load, index)` order
+    /// (never, for padding against padding).
+    #[inline]
+    fn before(self, other: Winner) -> bool {
+        (self.key < other.key) | ((self.key == other.key) & (self.q < other.q))
+    }
 }
 
 impl Clone for ProcHeap {
     fn clone(&self) -> Self {
         ProcHeap {
-            key: self.key.clone(),
-            pos: self.pos.clone(),
+            node: self.node.clone(),
             load: self.load.clone(),
         }
     }
 
     /// Buffer-reusing clone: checkpoint restores go through this so a
-    /// resume does not re-allocate the heap arrays.
+    /// resume does not re-allocate the tree arrays.
     fn clone_from(&mut self, source: &Self) {
-        self.key.clone_from(&source.key);
-        self.pos.clone_from(&source.pos);
+        self.node.clone_from(&source.node);
         self.load.clone_from(&source.load);
     }
 }
@@ -204,11 +221,7 @@ impl Clone for ProcHeap {
 impl ProcHeap {
     /// A heap of `m` processors, all with zero load.
     pub fn new(m: usize) -> Self {
-        let mut h = ProcHeap {
-            key: Vec::new(),
-            pos: Vec::new(),
-            load: Vec::new(),
-        };
+        let mut h = ProcHeap::empty();
         h.reset(m);
         h
     }
@@ -218,10 +231,16 @@ impl ProcHeap {
     /// instance is known.
     pub(crate) fn empty() -> Self {
         ProcHeap {
-            key: Vec::new(),
-            pos: Vec::new(),
+            node: Vec::new(),
             load: Vec::new(),
         }
+    }
+
+    /// Reserves room for `m` processors, so a later [`ProcHeap::reset`]
+    /// to at most `m` allocates nothing.
+    pub(crate) fn reserve(&mut self, m: usize) {
+        self.node.reserve(2 * m.next_power_of_two());
+        self.load.reserve(m);
     }
 
     /// Re-initializes to `m` processors of zero load, reusing the
@@ -229,10 +248,23 @@ impl ProcHeap {
     pub fn reset(&mut self, m: usize) {
         assert!(m >= 1, "need at least one processor");
         assert!(m <= u32::MAX as usize, "processor ids fit in u32");
-        self.key.clear();
-        self.key.extend((0..m).map(|q| q as u128));
-        self.pos.clear();
-        self.pos.extend(0..m as u32);
+        let width = m.next_power_of_two();
+        self.node.clear();
+        self.node.resize(width, Winner::PADDING);
+        self.node.extend((0..width).map(|q| {
+            if q < m {
+                Winner {
+                    key: time_key(0.0),
+                    q: q as u32,
+                }
+            } else {
+                Winner::PADDING
+            }
+        }));
+        for v in (1..width).rev() {
+            let (left, right) = (self.node[2 * v], self.node[2 * v + 1]);
+            self.node[v] = if right.before(left) { right } else { left };
+        }
         self.load.clear();
         self.load.resize(m, 0.0);
     }
@@ -246,13 +278,13 @@ impl ProcHeap {
     /// The least loaded processor (lowest index among ties).
     #[inline]
     pub fn min(&self) -> usize {
-        proc_of_key(self.key[0])
+        self.node[1].q as usize
     }
 
     /// The minimum load itself (the load of [`ProcHeap::min`]).
     #[inline]
     pub fn min_load(&self) -> f64 {
-        f64::from_bits((self.key[0] >> 32) as u64)
+        f64::from_bits(self.node[1].key)
     }
 
     /// Load of processor `q`.
@@ -275,61 +307,24 @@ impl ProcHeap {
             "loads are monotone non-decreasing"
         );
         self.load[q] = new_load;
-        let at = self.pos[q] as usize;
-        self.key[at] = proc_key(new_load, q as u32);
-        self.sift_down(at);
-    }
-
-    /// Position of the smallest child of the (full, 4-child) node whose
-    /// first child sits at `first`: a branchless select tournament — two
-    /// leaf minima, then their minimum — with no data-dependent branch
-    /// for the integer comparator to mispredict.
-    #[inline]
-    fn min_child4(&self, first: usize) -> usize {
-        let a = if self.key[first + 1] < self.key[first] {
-            first + 1
-        } else {
-            first
+        let mut v = self.node.len() / 2 + q;
+        let mut w = Winner {
+            key: time_key(new_load),
+            q: q as u32,
         };
-        let b = if self.key[first + 3] < self.key[first + 2] {
-            first + 3
-        } else {
-            first + 2
-        };
-        if self.key[b] < self.key[a] {
-            b
-        } else {
-            a
-        }
-    }
-
-    fn sift_down(&mut self, mut at: usize) {
-        loop {
-            let first = 4 * at + 1;
-            if first >= self.key.len() {
-                return;
-            }
-            // Full nodes (the common case on every non-last level) take
-            // the branchless tournament; the at-most-one ragged node at
-            // the end falls back to a short scan.
-            let best = if first + 4 <= self.key.len() {
-                self.min_child4(first)
-            } else {
-                let mut b = first;
-                for c in first + 1..self.key.len() {
-                    if self.key[c] < self.key[b] {
-                        b = c;
-                    }
-                }
-                b
-            };
-            if self.key[at] <= self.key[best] {
-                return;
-            }
-            self.key.swap(at, best);
-            self.pos[proc_of_key(self.key[at])] = at as u32;
-            self.pos[proc_of_key(self.key[best])] = best as u32;
-            at = best;
+        self.node[v] = w;
+        while v > 1 {
+            // `w` is the winner of subtree `v`. As the left child (even
+            // `v`) it keeps ties; as the right child the left sibling
+            // takes them, winning on `sibling.key <= w.key`, written
+            // `< w.key + 1` (`w` is a real processor, whose key is far
+            // below `u64::MAX`). The select must stay a conditional move:
+            // the outcome is data-dependent, so a branch would mispredict.
+            let sibling = self.node[v ^ 1];
+            let sibling_wins = sibling.key < w.key + (v & 1) as u64;
+            w = std::hint::select_unpredictable(sibling_wins, sibling, w);
+            v /= 2;
+            self.node[v] = w;
         }
     }
     // sws-lint: end-hot-path
@@ -354,44 +349,87 @@ impl ProcHeap {
     /// loop reuses two workspace buffers instead of allocating two
     /// vectors per probe.
     ///
-    /// The traversal expands the heap lazily, so accepting the first
-    /// probe — the overwhelmingly common case — costs `O(1)`. The visit
-    /// order depends only on the key order, not the heap shape, so the
-    /// 4-ary layout reports the same skipped sets as the old binary one.
+    /// The root's winner is visited first, so accepting the first probe
+    /// — the overwhelmingly common case — costs `O(1)`. After rejecting
+    /// processor `q`, the winner of subtree `from`, the unvisited
+    /// processors are the frontier's subtrees and the sibling subtrees on
+    /// `q`'s path from its leaf up to `from`; the least winner among them
+    /// is the next processor in `(load, index)` order. The siblings join
+    /// the frontier only once that next processor is rejected too, so a
+    /// probe that skips one processor costs one `log₂ m` walk and never
+    /// touches the frontier. Padding-only subtrees never join it, and
+    /// reaching one means every processor was visited.
     pub fn probe_with<F: FnMut(usize) -> bool>(
         &self,
         mut admit: F,
         frontier: &mut Vec<usize>,
         skipped: &mut Vec<usize>,
     ) -> Option<usize> {
-        // Frontier of heap positions whose parents were all visited; the
-        // next processor in sorted order is always the frontier minimum.
-        // Linear scans are fine: the frontier holds ≤ 4·skips + 1 entries
-        // and skips are zero in the unrestricted use and rare in the
-        // RLS∆ use (a skip needs a memory-saturated processor below the
-        // chosen one's load; unlike marking, skips can recur across
-        // rounds, but each costs only the probe that discovers it).
+        // Linear scans are fine: the frontier holds at most
+        // `skips·log₂ m` subtrees, and skips are zero in the
+        // unrestricted use and rare in the RLS∆ use (a skip needs a
+        // memory-saturated processor below the chosen one's load; unlike
+        // marking, skips can recur across rounds, but each costs only
+        // the probe that discovers it).
+        let width = self.node.len() / 2;
         frontier.clear();
-        frontier.push(0);
-        while !frontier.is_empty() {
-            let mut best = 0;
-            for fi in 1..frontier.len() {
-                if self.key[frontier[fi]] < self.key[frontier[best]] {
-                    best = fi;
-                }
-            }
-            let pos = frontier.swap_remove(best);
-            let q = proc_of_key(self.key[pos]);
+        let mut from = 1;
+        // The previous rejected processor and its subtree, whose path
+        // siblings other than `from` are not yet in the frontier.
+        let mut pending: Option<(usize, usize)> = None;
+        loop {
+            let q = self.node[from].q as usize;
             if admit(q) {
                 return Some(q);
             }
             skipped.push(q);
-            let first = 4 * pos + 1;
-            for child in first..(first + 4).min(self.key.len()) {
-                frontier.push(child);
+            if let Some((prev, prev_from)) = pending {
+                let mut v = width + prev;
+                while v > prev_from {
+                    let s = v ^ 1;
+                    if s != from && !self.node[s].is_padding() {
+                        frontier.push(s);
+                    }
+                    v /= 2;
+                }
             }
+            // `node[0]` is padding, so `next == 0` loses to every real
+            // winner and stands for "nothing left".
+            let mut next = self.least_sibling(q, from);
+            let mut taken = None;
+            for (fi, &f) in frontier.iter().enumerate() {
+                if self.node[f].before(self.node[next]) {
+                    (next, taken) = (f, Some(fi));
+                }
+            }
+            if let Some(fi) = taken {
+                frontier.swap_remove(fi);
+            }
+            if self.node[next].is_padding() {
+                return None;
+            }
+            pending = Some((q, from));
+            from = next;
         }
-        None
+    }
+
+    /// The sibling subtree, among those on the path from processor `q`'s
+    /// leaf up to node `from`, whose winner comes first in `(load,
+    /// index)` order: once `q` is visited, the rest of subtree `from`
+    /// starts there. `0` (a padding node) when every such subtree holds
+    /// only padding, or when `q`'s leaf is `from` itself.
+    fn least_sibling(&self, q: usize, from: usize) -> usize {
+        let mut v = self.node.len() / 2 + q;
+        let (mut best, mut best_w) = (0, Winner::PADDING);
+        while v > from {
+            let s = v ^ 1;
+            let w = self.node[s];
+            let first = w.before(best_w);
+            best = std::hint::select_unpredictable(first, s, best);
+            best_w = std::hint::select_unpredictable(first, w, best_w);
+            v /= 2;
+        }
+        best
     }
     // sws-lint: end-hot-path
 }
@@ -507,7 +545,7 @@ impl PendingHeap {
             }
             let best = if first + 4 <= self.heap.len() {
                 // Branchless select tournament over the full 4-child
-                // stripe (see [`ProcHeap::min_child4`]).
+                // stripe: two pair minima, then their minimum.
                 let a = if self.heap[first + 1] < self.heap[first] {
                     first + 1
                 } else {
@@ -888,7 +926,7 @@ struct PredState {
 const NO_TASK: u32 = u32::MAX;
 
 /// Resumable mid-run state of the event-driven scheduler: the ready
-/// structures, the indexed processor-load heap, the incremental Lemma-4
+/// structures, the processor-load tournament tree, the incremental Lemma-4
 /// marked-processor bookkeeping, and the partial schedule built so far.
 ///
 /// The scheduling loop is fully deterministic given a state and an
@@ -1479,9 +1517,7 @@ impl KernelWorkspace {
         ws.state.runnable.reserve(n);
         ws.state.slot_of_task.reserve(n);
         ws.state.task_of_slot.reserve(n);
-        ws.state.procs.key.reserve(m);
-        ws.state.procs.pos.reserve(m);
-        ws.state.procs.load.reserve(m);
+        ws.state.procs.reserve(m);
         ws
     }
 }
@@ -2453,6 +2489,79 @@ mod tests {
             .unwrap();
         assert_eq!(q, 2);
         assert_eq!(skipped, vec![99, 0, 1]);
+    }
+
+    /// The naive scan's processor order: ascending `(load, index)`.
+    fn naive_order(loads: &[f64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..loads.len()).collect();
+        order.sort_by(|&a, &b| loads[a].total_cmp(&loads[b]).then(a.cmp(&b)));
+        order
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4))]
+
+        /// The tournament tree against a naive scan: one heap, reset
+        /// through every processor count up to 70 and the padded and
+        /// exact powers of two around 128 and at 512, under monotone
+        /// raises with exact ties and zero raises. After each raise the
+        /// minimum, its load bits and every load match the naive argmin;
+        /// under random admit masks a probe returns the first admitted
+        /// processor in the naive order and appends exactly the rejected
+        /// prefix to a buffer that already holds entries.
+        #[test]
+        fn proc_heap_matches_a_naive_scan(seed in 1u64..u64::MAX) {
+            let mut rng = XorShift(seed);
+            let mut h = ProcHeap::new(1);
+            let mut frontier = vec![usize::MAX; 3];
+            let mut skipped = Vec::new();
+            let held = [usize::MAX, 3];
+            for m in (1..=70).chain([127, 128, 129, 512]) {
+                h.reset(m);
+                let mut loads = vec![0.0f64; m];
+                for step in 0..2 * m + 8 {
+                    // Raise the least loaded processor (the kernel's
+                    // pattern) or any other: by nothing, to another
+                    // processor's load, or by a quarter-step multiple, so
+                    // exact ties are common.
+                    let q = if rng.below(2) == 0 {
+                        h.min()
+                    } else {
+                        rng.below(m as u64) as usize
+                    };
+                    let new_load = match rng.below(4) {
+                        0 => loads[q],
+                        1 => loads[q].max(loads[rng.below(m as u64) as usize]),
+                        _ => loads[q] + rng.below(8) as f64 * 0.25,
+                    };
+                    h.set_load(q, new_load);
+                    loads[q] = new_load;
+                    let order = naive_order(&loads);
+                    proptest::prop_assert_eq!(h.min(), order[0], "m {} step {}", m, step);
+                    proptest::prop_assert_eq!(h.min_load().to_bits(), loads[order[0]].to_bits());
+                    proptest::prop_assert!(h.loads().iter().zip(&loads).all(|(a, b)| a.to_bits() == b.to_bits()));
+                    if m > 70 && step % 16 != 0 {
+                        continue;
+                    }
+                    // Admit none, or about a quarter, half or three
+                    // quarters of the processors.
+                    let density = rng.below(4);
+                    let admitted: Vec<bool> = (0..m).map(|_| rng.below(4) < density).collect();
+                    skipped.clear();
+                    skipped.extend(held);
+                    let got = h.probe_with(|p| admitted[p], &mut frontier, &mut skipped);
+                    let first = order.iter().position(|&p| admitted[p]);
+                    proptest::prop_assert_eq!(got, first.map(|k| order[k]), "m {} step {}", m, step);
+                    proptest::prop_assert_eq!(&skipped[..2], &held[..]);
+                    proptest::prop_assert_eq!(&skipped[2..], &order[..first.unwrap_or(m)]);
+                }
+                // A mask that admits nothing skips all m processors.
+                skipped.clear();
+                skipped.extend(held);
+                proptest::prop_assert_eq!(h.probe_with(|_| false, &mut frontier, &mut skipped), None);
+                proptest::prop_assert_eq!(&skipped[2..], &naive_order(&loads)[..]);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The dual-approximation test: "is there a schedule of makespan at most
 //! `(1 + ε)·d`?"
 
+use sws_listsched::ProcHeap;
 use sws_model::schedule::Assignment;
 
 use crate::config_dp::{pack_large_ffd, pack_large_min_bins};
@@ -52,27 +53,29 @@ pub fn dual_test(weights: &[f64], m: usize, d: f64, eps: f64) -> Option<DualResu
     };
 
     let mut asg = Assignment::zeroed(weights.len(), m).expect("m > 0");
-    let mut load = vec![0.0f64; m];
+    let mut procs = ProcHeap::new(m);
     for (q, bin) in bins.iter().enumerate() {
+        let mut load = 0.0;
         for &job in bin {
             asg.assign(job, q)
                 .expect("q < m because at most m bins were used");
-            load[q] += weights[job];
+            load += weights[job];
         }
+        procs.set_load(q, load);
     }
 
     // Greedily add the small jobs: always to the machine with the smallest
     // load, but only machines whose load is still at most d may receive
     // new work. If every machine exceeds d the total volume proves d < OPT.
+    // Loads are sums of non-negative weights, so the processor heap's
+    // `(load, index)` order is the argmin scan's, lowest index first.
     for &job in &r.small {
-        let q = (0..m)
-            .min_by(|&a, &b| sws_model::numeric::total_cmp(load[a], load[b]))
-            .expect("m > 0");
-        if load[q] > d + 1e-12 {
+        let q = procs.min();
+        if procs.load(q) > d + 1e-12 {
             return None;
         }
         asg.assign(job, q).expect("q < m");
-        load[q] += weights[job];
+        procs.set_load(q, procs.load(q) + weights[job]);
     }
 
     Some(DualResult {
@@ -120,6 +123,29 @@ mod tests {
         let res = dual_test(&weights, 4, 1.0, 0.5).expect("feasible");
         let ms = makespan(&weights, &res.assignment);
         assert!((ms - 1.0).abs() < 1e-9);
+    }
+
+    /// The small-job fill places each job on the least loaded machine,
+    /// lowest index first among ties: the argmin scan's assignment.
+    #[test]
+    fn small_jobs_fill_the_least_loaded_machine_lowest_index_first() {
+        // ε·d = 1.25: the three 2.0 jobs are large, one per bin (capacity
+        // 2.5), the 0.5 jobs small. After the bins every machine is tied
+        // at 2.0, and after three small jobs at 2.5 (still at most d).
+        let weights = [2.0, 2.0, 2.0, 0.5, 0.5, 0.5, 0.5, 0.5];
+        let res = dual_test(&weights, 3, 2.5, 0.5).expect("feasible");
+        let asg = &res.assignment;
+        let bins: Vec<usize> = (0..3).map(|job| asg.proc_of(job)).collect();
+        let mut sorted = bins.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, vec![0, 1, 2], "one large job per machine");
+        let small: Vec<usize> = (3..8).map(|job| asg.proc_of(job)).collect();
+        assert_eq!(small, vec![0, 1, 2, 0, 1]);
+
+        // Equal small jobs only: round robin from machine 0.
+        let res = dual_test(&[0.25; 7], 3, 1.0, 0.5).expect("feasible");
+        let small: Vec<usize> = (0..7).map(|job| res.assignment.proc_of(job)).collect();
+        assert_eq!(small, vec![0, 1, 2, 0, 1, 2, 0]);
     }
 
     #[test]

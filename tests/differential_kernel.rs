@@ -255,7 +255,17 @@ fn graham_heap_matches_naive_argmin() {
     // `list_schedule_with` must reset completely between task lists of
     // different sizes and processor counts.
     let mut procs = sws_listsched::ProcHeap::new(1);
-    for &(n, m) in &[(1usize, 1usize), (10, 3), (100, 7), (500, 16), (20, 2)] {
+    for &(n, m) in &[
+        (1usize, 1usize),
+        (10, 3),
+        (100, 7),
+        (500, 16),
+        (20, 2),
+        // The benchmark workloads' m, and heavily padded trees.
+        (300, 8),
+        (300, 33),
+        (2_000, 512),
+    ] {
         let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..50.0)).collect();
         let order: Vec<usize> = (0..n).collect();
         let fast = sws_listsched::list_schedule(&weights, m, &order);
