@@ -41,7 +41,7 @@
 //!   round walks them);
 //! * a **tournament tree over processor loads** ([`ProcHeap`]): a
 //!   placement replays the `log₂ m` matches on one leaf's path, and an
-//!   ordered traversal ([`ProcHeap::probe`]) finds the least loaded
+//!   ordered traversal ([`ProcHeap::probe_with`]) finds the least loaded
 //!   processor satisfying a pluggable **admissibility predicate**
 //!   ([`Admission`]) — plain Graham ([`Unrestricted`]) and RLS∆'s
 //!   `memsize[q] + s_i ≤ ∆·LB` filter ([`MemoryCapAdmission`]) are the
@@ -50,18 +50,22 @@
 //!   winning probe are exactly the "marked" processors of the paper's
 //!   analysis, so marking costs `O(#skipped)` instead of a per-candidate
 //!   `O(m)` sweep;
+//! * **one start path**: every run seeds its resumable [`EngineState`]
+//!   from a *frontier* — the processor heap, the marks, the committed
+//!   memory, both ready structures and the pending tie-group links
+//!   before some round, `O(m + pending + n/64)` words. A cold run starts
+//!   from the empty frontier and derives every task's readiness from
+//!   its in-degree; a replay starts from a frontier its run kept, takes
+//!   the placements from that run's schedule and re-derives the
+//!   readiness of the unplaced tasks from it, and an arrival is one more
+//!   task the frontier predates;
 //! * **checkpoint/replay** ([`CheckpointedRun`]): a run records each
-//!   round's placement and rejection threshold, plus stride-boundary
-//!   snapshots of the part of the resumable [`EngineState`] a replay
-//!   cannot rebuild from the run's own output — the processor heap, the
-//!   ready structures and the pending tie-group links, `O(m + pending +
-//!   n/64)` words; placements come from the run's schedule and the
-//!   readiness of the unplaced tasks is re-derived from it — so a run at
-//!   a larger cap, or on an instance changed by an arrival or a cost
-//!   re-estimate, replays only from the first round the change can
-//!   affect (and shares the previous run's output in `O(1)` when none
-//!   is) — the one warm-start engine behind the incremental Pareto
-//!   sweeps of `sws_core::pareto_sweep` and the replan sessions of
+//!   round's placement and rejection threshold and keeps stride-boundary
+//!   frontiers, so a run at a larger cap, or on an instance changed by an
+//!   arrival or a cost re-estimate, replays only from the first round the
+//!   change can affect (and shares the previous run's output in `O(1)`
+//!   when none is) — the one warm-start engine behind the incremental
+//!   Pareto sweeps of `sws_core::pareto_sweep` and the replan sessions of
 //!   `sws_core::replan`.
 //!
 //! # Memory story (allocation-free steady state)
@@ -76,12 +80,12 @@
 //!   [`sws_dag::TaskGraph`] stays the build/mutate API and converts via
 //!   `TaskGraph::csr()`);
 //! * every **per-run buffer** (the ready heaps, the processor-load
-//!   heap, the completion/ready/placement arrays, the per-round scratch
-//!   and the probe frontier) lives in a reusable [`KernelWorkspace`]
-//!   whose initialization clears without freeing, so repeated runs
-//!   through one workspace — a ∆-sweep chain, a batch of instances —
-//!   allocate nothing in steady state beyond the returned
-//!   [`KernelOutcome`] itself.
+//!   heap, the completion/ready/placement arrays, the per-round scratch,
+//!   the probe frontier and the empty frontier a cold run starts from)
+//!   lives in a reusable [`KernelWorkspace`] whose start overwrites
+//!   without freeing, so repeated runs through one workspace — a ∆-sweep
+//!   chain, a batch of instances — allocate nothing in steady state
+//!   beyond the returned [`KernelOutcome`] itself.
 //!
 //! [`event_driven_schedule_csr`] is the workspace-reuse entry point;
 //! [`event_driven_schedule`] remains the one-shot convenience wrapper
@@ -327,26 +331,14 @@ impl ProcHeap {
             self.node[v] = w;
         }
     }
-    // sws-lint: end-hot-path
 
     /// Visits processors in increasing `(load, index)` order until `admit`
-    /// accepts one; returns the accepted processor together with the
-    /// processors skipped on the way (all rejected, all with a key no
-    /// larger than the accepted one). `None` when every processor is
-    /// rejected. Allocating convenience wrapper over
-    /// [`ProcHeap::probe_with`].
-    pub fn probe<F: FnMut(usize) -> bool>(&self, admit: F) -> Option<(usize, Vec<usize>)> {
-        let mut frontier = Vec::new();
-        let mut skipped = Vec::new();
-        self.probe_with(admit, &mut frontier, &mut skipped)
-            .map(|q| (q, skipped))
-    }
-
-    // sws-lint: hot-path
-    /// Allocation-free probe: the traversal frontier lives in `frontier`
-    /// (cleared on entry) and skipped processors are **appended** to
-    /// `skipped` (the caller records the starting length), so the hot
-    /// loop reuses two workspace buffers instead of allocating two
+    /// accepts one, and returns it; `None` when every processor is
+    /// rejected. The processors skipped on the way (all rejected, all
+    /// with a key no larger than the accepted one) are **appended** to
+    /// `skipped` (the caller records the starting length), and the
+    /// traversal frontier lives in `frontier` (cleared on entry), so the
+    /// hot loop reuses two workspace buffers instead of allocating two
     /// vectors per probe.
     ///
     /// The root's winner is visited first, so accepting the first probe
@@ -622,17 +614,11 @@ fn bitmap_words(n: usize) -> usize {
 }
 
 impl RankBitmap {
-    /// Clears and re-sizes for slots `0..n`, reusing the buffers.
-    fn reset(&mut self, n: usize) {
-        let w0 = bitmap_words(n);
-        let w1 = bitmap_words(w0);
-        let w2 = bitmap_words(w1);
+    /// Empties the slot space, keeping the buffers.
+    fn clear(&mut self) {
         self.l0.clear();
-        self.l0.resize(w0, 0);
         self.l1.clear();
-        self.l1.resize(w1, 0);
         self.l2.clear();
-        self.l2.resize(w2, 0);
     }
 
     fn reserve(&mut self, n: usize) {
@@ -641,8 +627,8 @@ impl RankBitmap {
 
     /// Extends the slot space to `0..n` **without clearing**: appended
     /// words are zero, so every present bit and all three summary
-    /// levels stay valid verbatim. Used when a replay adapts a restored
-    /// state to an instance that grew by an arrival.
+    /// levels stay valid verbatim. A start extends a frontier's bitmap,
+    /// which covers the frontier's tasks, over the tasks it predates.
     fn grow(&mut self, n: usize) {
         let w0 = bitmap_words(n);
         let w1 = bitmap_words(w0);
@@ -929,16 +915,19 @@ const NO_TASK: u32 = u32::MAX;
 /// structures, the processor-load tournament tree, the incremental Lemma-4
 /// marked-processor bookkeeping, and the partial schedule built so far.
 ///
-/// The scheduling loop is fully deterministic given a state and an
-/// admissibility predicate, so a state restored from a stride-boundary
-/// checkpoint and replayed with the same verdicts reproduces the
-/// original run bit for bit — the property the checkpoint/replay
-/// machinery ([`CheckpointedRun`]) is built on. A checkpoint stores
-/// only the part of the state a replay cannot rebuild (see
-/// [`CheckpointedRun`]'s snapshot docs), so the state itself is not
-/// `Clone`. The readiness entry of a task is frozen once the task is
-/// placed and never read again: after a restore, the entries of placed
-/// tasks are dead and may hold whatever the workspace last ran.
+/// One function seeds the state for every run, from a *frontier*: the
+/// processor heap, the marks, the committed memory and both ready
+/// structures before some round (see [`CheckpointedRun`]'s snapshot
+/// docs). A cold run starts from the empty frontier, a replay from a
+/// stride-boundary frontier its run kept. The scheduling loop is fully
+/// deterministic given a state and an admissibility predicate, so a
+/// replay with the same verdicts reproduces the original run bit for
+/// bit — the property the checkpoint/replay machinery is built on. A
+/// frontier holds only the part of the state a start cannot derive, so
+/// the state itself is not `Clone`. The readiness entry of a task is
+/// frozen once the task is placed and never read again: after a
+/// replay's start, the entries of placed tasks are dead and may hold
+/// whatever the workspace last ran.
 ///
 /// Task and rank indices are stored as `u32` (the CSR layer guarantees
 /// `n < u32::MAX`), which halves the ready structures' memory traffic.
@@ -988,9 +977,9 @@ pub struct EngineState {
     /// only the `(rank, task)` order ranks them: one bit per slot.
     runnable: RankBitmap,
     /// `slot_of_task[i]` = position of task `i` in the canonical
-    /// `(rank, task)` order (run-constant after `init`).
+    /// `(rank, task)` order (run-constant after the start).
     slot_of_task: Vec<u32>,
-    /// Inverse of `slot_of_task` (run-constant after `init`).
+    /// Inverse of `slot_of_task` (run-constant after the start).
     task_of_slot: Vec<u32>,
     /// Number of placements made so far.
     round: usize,
@@ -1000,7 +989,7 @@ pub struct EngineState {
 /// element is overwritten before it is read (placement arrays are
 /// written when their task is placed, and read only after all `n`
 /// rounds), so carrying stale values from the previous run is safe and
-/// saves the O(n) clear on every warm re-init.
+/// saves the O(n) clear on every start.
 fn resize_for_overwrite<T: Copy>(v: &mut Vec<T>, n: usize, fill: T) {
     if v.len() >= n {
         v.truncate(n);
@@ -1010,7 +999,7 @@ fn resize_for_overwrite<T: Copy>(v: &mut Vec<T>, n: usize, fill: T) {
 }
 
 impl EngineState {
-    /// A state with no buffers; [`EngineState::init`] sizes it for an
+    /// A state with no buffers; the start of a run sizes it for an
     /// instance.
     fn empty() -> Self {
         EngineState {
@@ -1063,39 +1052,76 @@ impl EngineState {
         }
     }
 
-    /// Re-initializes for a run over `csr` on `m` processors, reusing
-    /// every buffer: no placements yet, all source tasks ready at 0.
-    /// The pending heap is reserved to `n` up front, so the cold first
-    /// run grows its buffers exactly once and behaves like the reuse
-    /// path afterwards.
-    fn init(&mut self, csr: &CsrDag, m: usize, rank: &PriorityRank) {
+    /// Seeds the state for a run over `csr` from `from`, reusing every
+    /// buffer: the one start path of every run. The frontier's processors,
+    /// marks and ready structures are copied, and the slot tables are
+    /// built over the whole `rank`. A kept frontier stands on `prefix`,
+    /// the run it was taken from: the placements of the frontier's tasks
+    /// come from that run's schedule, the readiness of each task the
+    /// frontier leaves unplaced is re-derived from it, and the stored
+    /// pending members are written back over their entries (the
+    /// [`CheckpointedRun`] snapshot docs give the invariant that makes
+    /// all of it exact). Then every task the frontier predates — every
+    /// task, from the empty frontier — is derived and enqueued where a
+    /// from-scratch run's migration would put it: runnable iff its ready
+    /// time is (approximately) at or below the minimum load, pending
+    /// otherwise, as a singleton tie group. From the empty frontier that
+    /// is each task's in-degree, and the sources go straight to the
+    /// runnable bitmap. (A from-scratch run may group an arrival with
+    /// siblings of the same ready time; ranked last, it trails them, and
+    /// either way the rounds select the same winners.) The pending heap
+    /// is reserved to `n` up front, so a workspace's first run grows its
+    /// buffers exactly once.
+    fn seed(
+        &mut self,
+        csr: &CsrDag,
+        rank: &[u32],
+        from: &Frontier,
+        prefix: Option<&CheckpointedRun>,
+    ) {
         let n = csr.n();
         assert_eq!(rank.len(), n, "priority rank must cover every task");
-        self.procs.reset(m);
-        self.marked.clear();
-        self.marked.resize(m, false);
-        self.preds.clear();
-        self.preds.extend((0..n).map(|i| PredState {
-            ready: 0.0,
-            remaining: csr.in_degree(i) as u32,
-            next: NO_TASK,
-        }));
+        self.procs.clone_from(&from.procs);
+        self.marked.clone_from(&from.marked);
+        self.pending.clone_from(&from.pending);
+        self.pending.reserve(n);
+        self.runnable.clone_from(&from.runnable);
+        self.runnable.grow(n);
+        self.build_slots(rank);
+        resize_for_overwrite(&mut self.preds, from.n, PredState::default());
         resize_for_overwrite(&mut self.proc_of, n, 0);
         resize_for_overwrite(&mut self.start, n, 0.0);
-        self.pending.clear();
-        self.pending.reserve(n);
-        self.build_slots(rank);
-        self.runnable.reset(n);
-        // Source tasks are ready at 0 = the initial minimum load, so the
-        // first round's migration would move every one of them to the
-        // runnable structure; set their bits directly (equivalent, no
-        // pending round trip).
-        for (i, ps) in self.preds.iter().enumerate() {
-            if ps.remaining == 0 {
-                self.runnable.insert(self.slot_of_task[i]);
+        self.round = from.round;
+        if let Some(run) = prefix {
+            let schedule = &run.outcome.schedule;
+            for i in 0..from.n {
+                self.proc_of[i] = schedule.proc_of(i) as u32;
+                self.start[i] = schedule.start(i);
+            }
+            for &t in &run.records.placed[from.round..] {
+                let t = t as usize;
+                // The tasks the frontier predates are derived below.
+                if t < from.n {
+                    self.preds[t] = readiness(csr, t, from.round, prefix).0;
+                }
+            }
+            for &(t, entry) in &from.members {
+                self.preds[t as usize] = entry;
             }
         }
-        self.round = 0;
+        let l_min = self.procs.min_load();
+        self.preds.extend((from.n..n).map(|t| {
+            let (entry, _) = readiness(csr, t, from.round, prefix);
+            if entry.remaining == 0 {
+                if approx_le(entry.ready, l_min) {
+                    self.runnable.insert(self.slot_of_task[t]);
+                } else {
+                    let pack = rank_task(rank[t], t as u32);
+                    self.pending.push(pend_key(entry.ready, pack));
+                }
+            }
+            entry
+        }));
     }
 
     // sws-lint: hot-path
@@ -1445,25 +1471,28 @@ impl EngineState {
 }
 
 /// Reusable per-run buffers of the scheduling kernel: the resumable
-/// [`EngineState`], the per-round scratch, and the snapshot staging slot
-/// of [`CheckpointedRun`]s. Construct once (per
+/// [`EngineState`], the per-round scratch, and one frontier buffer.
+/// Construct once (per
 /// thread / per rayon worker), thread `&mut` through any number of runs
-/// — each run re-initializes the buffers without freeing them, so
+/// — each run re-seeds the buffers without freeing them, so
 /// steady-state scheduling performs no heap allocation beyond the
 /// returned [`KernelOutcome`].
 ///
-/// Reuse is **stateless across runs by construction**: every buffer is
-/// fully re-initialized from the instance at the start of a run
-/// (`EngineState::init`), which the differential suite and a
-/// dedicated interleaving proptest verify bit-for-bit.
+/// Reuse is **stateless across runs by construction**: every run seeds
+/// the state from a frontier and the instance through one start path,
+/// which writes every entry the run reads before the run reads it (a
+/// replay's placed tasks keep stale readiness entries, which nothing
+/// reads). The differential suite and a dedicated interleaving proptest
+/// verify this bit-for-bit.
 #[derive(Debug)]
 pub struct KernelWorkspace {
     state: EngineState,
     scratch: StepScratch,
-    /// The current stride's boundary snapshot of a checkpointed run,
-    /// persisted only if that stride records a rejection (see
-    /// [`CheckpointedRun`]); reused across strides and runs otherwise.
-    staged: Checkpoint,
+    /// The empty frontier a cold run starts from; during a checkpointed
+    /// run, the current stride's boundary, persisted only if the run's
+    /// snapshot policy keeps it (see [`CheckpointedRun`]) and reused
+    /// across strides and runs otherwise.
+    frontier: Frontier,
     probe: CancelProbe,
 }
 
@@ -1479,7 +1508,7 @@ impl KernelWorkspace {
         KernelWorkspace {
             state: EngineState::empty(),
             scratch: StepScratch::default(),
-            staged: Checkpoint::empty(),
+            frontier: Frontier::empty(),
             probe: CancelProbe::never(),
         }
     }
@@ -1554,7 +1583,8 @@ pub fn event_driven_schedule_csr<A: Admission>(
     ws: &mut KernelWorkspace,
 ) -> Result<KernelOutcome, ModelError> {
     let n = csr.n();
-    ws.state.init(csr, m, rank);
+    ws.frontier.reset(m);
+    ws.state.seed(csr, rank, &ws.frontier, None);
     ws.scratch.clear();
     while ws.state.round < n {
         if ws.state.round.is_multiple_of(PROBE_STRIDE) {
@@ -1631,18 +1661,21 @@ fn checkpoint_stride(n: usize) -> usize {
     (n / 32).max(32)
 }
 
-/// One stride-boundary snapshot of a checkpointed run, taken *before*
-/// round `round`: the part of the [`EngineState`] a replay cannot
-/// rebuild (the processor heap, the marked processors, both ready
-/// structures and the readiness entries of the pending tie-group
-/// members, whose links record release order) plus the per-processor
-/// memory committed so far: `O(m + pending + n/64)` words. It holds no
-/// placement, no slot table and no other readiness entry:
-/// [`CheckpointedRun`]'s restore rebuilds them (see its snapshot docs).
+/// Where a run starts: the part of the [`EngineState`] before round
+/// `round` that `EngineState::seed` cannot derive — the processor heap,
+/// the marked processors, both ready structures and the readiness
+/// entries of the pending tie-group members, whose links record release
+/// order — plus the per-processor memory committed so far: `O(m +
+/// pending + n/64)` words. It holds no placement, no slot table and no
+/// other readiness entry; the seed derives them (see
+/// [`CheckpointedRun`]'s snapshot docs). A cold run starts from the
+/// empty frontier ([`Frontier::reset`]); a checkpointed run keeps some
+/// of its stride-boundary frontiers for the replays that follow.
 #[derive(Debug)]
-struct Checkpoint {
+struct Frontier {
     round: usize,
-    /// Tasks in the instance when the snapshot was taken.
+    /// Tasks in the instance when the frontier was taken; the seed
+    /// derives and enqueues the later ones.
     n: usize,
     procs: ProcHeap,
     marked: Vec<bool>,
@@ -1653,11 +1686,11 @@ struct Checkpoint {
     memsize: Vec<f64>,
 }
 
-impl Checkpoint {
-    /// A snapshot with no buffers: the workspace's staging slot before
-    /// its first use, and after a staged snapshot moves out to persist.
+impl Frontier {
+    /// A frontier with no buffers: the workspace's buffer before its
+    /// first use, and after a staged boundary moves out to persist.
     fn empty() -> Self {
-        Checkpoint {
+        Frontier {
             round: 0,
             n: 0,
             procs: ProcHeap::empty(),
@@ -1669,8 +1702,24 @@ impl Checkpoint {
         }
     }
 
+    /// Makes this the empty frontier over `m` processors, reusing the
+    /// buffers: round 0, no task covered, every processor idle and
+    /// unmarked, nothing pending, runnable or committed.
+    fn reset(&mut self, m: usize) {
+        self.round = 0;
+        self.n = 0;
+        self.procs.reset(m);
+        self.marked.clear();
+        self.marked.resize(m, false);
+        self.members.clear();
+        self.pending.clear();
+        self.runnable.clear();
+        self.memsize.clear();
+        self.memsize.resize(m, 0.0);
+    }
+
     /// Snapshots `state` before its next round, with the committed
-    /// `memsize`, into this snapshot's buffers (reusing their
+    /// `memsize`, into this frontier's buffers (reusing their
     /// allocations).
     fn stage(&mut self, state: &EngineState, memsize: &[f64]) {
         self.round = state.round;
@@ -1691,32 +1740,50 @@ impl Checkpoint {
         self.memsize.clear();
         self.memsize.extend_from_slice(memsize);
     }
+}
 
-    /// Restores the stored parts into `state`, reusing its buffers: the
-    /// placements of the snapshot's `n` tasks come from `schedule` (the
-    /// output of a run that keeps or inherits this boundary), the slot
-    /// tables are rebuilt over the first `n` entries of `rank`, and the
-    /// readiness entries are sized for `n` tasks but left as they are:
-    /// the caller re-derives those of the unplaced tasks and writes the
-    /// stored `members` back over them. The [`CheckpointedRun`] snapshot
-    /// docs give the invariant that makes all of it equal to what a full
-    /// snapshot would have stored.
-    fn restore(&self, state: &mut EngineState, schedule: &TimedSchedule, rank: &[u32]) {
-        let n = self.n;
-        state.procs.clone_from(&self.procs);
-        state.marked.clone_from(&self.marked);
-        resize_for_overwrite(&mut state.preds, n, PredState::default());
-        state.pending.clone_from(&self.pending);
-        state.runnable.clone_from(&self.runnable);
-        state.proc_of.clear();
-        state
-            .proc_of
-            .extend((0..n).map(|i| schedule.proc_of(i) as u32));
-        state.start.clear();
-        state.start.extend((0..n).map(|i| schedule.start(i)));
-        state.build_slots(&rank[..n]);
-        state.round = self.round;
+/// The readiness entry of `task` before round `at` of any run that
+/// placed its first `at` rounds as `prefix` did, and the task's ready
+/// round there: the latest completion, in `prefix`'s schedule, of the
+/// predecessors `prefix` placed before round `at`, the count of the
+/// others, and the round after the latest of those placements (`0` when
+/// there is none). Exactly the entry the run held there, for a task it
+/// had not yet placed: the ready time is a max, so neither the order of
+/// the terms nor their rounding matters, and no predecessor placed
+/// before `at` has been re-estimated since (see the snapshot docs of
+/// [`CheckpointedRun`]). A predecessor `prefix` never placed (an arrival
+/// not yet recorded) counts as outstanding. Before round 0 — the empty
+/// frontier's, which has no prefix — every predecessor is outstanding,
+/// so the entry is the in-degree, read without walking them.
+///
+/// Always inlined: a cold run derives all `n` tasks through it, and an
+/// out-of-line call per task made cold kernel runs up to 1.2× slower.
+#[inline(always)]
+fn readiness(
+    csr: &CsrDag,
+    task: usize,
+    at: usize,
+    prefix: Option<&CheckpointedRun>,
+) -> (PredState, usize) {
+    let mut entry = PredState {
+        ready: 0.0,
+        remaining: csr.in_degree(task) as u32,
+        next: NO_TASK,
+    };
+    let mut ready_round = 0;
+    if let Some(run) = prefix.filter(|_| at > 0) {
+        let place_round = &run.records.place_round;
+        for &u in csr.preds(task) {
+            let u = u as usize;
+            if let Some(&r) = place_round.get(u).filter(|&&r| (r as usize) < at) {
+                let done = run.outcome.schedule.start(u) + csr.p(u);
+                entry.ready = entry.ready.max(done);
+                entry.remaining -= 1;
+                ready_round = ready_round.max(r as usize + 1);
+            }
+        }
     }
+    (entry, ready_round)
 }
 
 /// The smallest finite rejection threshold of a run, `∞` when no round
@@ -1792,6 +1859,14 @@ pub enum ReplanDelta {
 /// Which stride boundaries a [`CheckpointedRun`] keeps. The entry point
 /// that starts a chain fixes it, and every later run of the chain
 /// inherits it.
+///
+/// Two policies, not one. A kept frontier is about 1 KB, so keeping
+/// every stride would serve sweeps too, but a sweep's first run would
+/// then persist every boundary (33 at n = 2 500) where it persists only
+/// those of the strides that reject. On a 2-vCPU KVM guest that alone
+/// took `pareto_sweep` throughput to 0.88× (1.60 M against 1.82 M
+/// points/s, slower in 8 of 8 alternating pairs) and its p50 from 518
+/// to 598 µs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SnapshotPolicy {
     /// ∆-sweep chains: keep a boundary only when its stride rejects.
@@ -1853,64 +1928,65 @@ enum SnapshotPolicy {
 /// # Snapshots
 ///
 /// Each stride boundary (every `checkpoint_stride(n)` rounds) is staged
-/// in one reused workspace buffer, and the entry point fixes which
-/// boundaries are kept. [`CheckpointedRun::cold`] (∆-sweep chains)
-/// keeps a boundary only when its stride records a rejection, since a
-/// cap delta can only diverge in such a stride; a chain whose cap never
-/// binds keeps none. [`CheckpointedRun::session`] keeps every boundary,
-/// since instance deltas can first affect any round. Restore-point
-/// invariant: a cap delta diverging in round `d` restores the boundary
-/// `⌊d/stride⌋·stride` (kept under both policies, since round `d`
-/// rejected) and replays `n − ⌊d/stride⌋·stride` rounds. A replay
-/// restores the latest kept boundary at or before the first affected
-/// round, splices in every task the snapshot predates, and re-records
-/// from there.
+/// as a frontier in the workspace's one reused buffer, and the entry
+/// point fixes which boundaries are kept. [`CheckpointedRun::cold_in`]
+/// (∆-sweep chains) keeps a boundary only when its stride records a
+/// rejection, since a cap delta can only diverge in such a stride; a
+/// chain whose cap never binds keeps none. [`CheckpointedRun::session`]
+/// keeps every boundary, since instance deltas can first affect any
+/// round. Restore-point invariant: a cap delta diverging in round `d`
+/// restores the boundary `⌊d/stride⌋·stride` (kept under both policies,
+/// since round `d` rejected) and replays `n − ⌊d/stride⌋·stride` rounds.
+/// A replay starts from the latest kept boundary at or before the first
+/// affected round and re-records from there.
 ///
-/// A snapshot stores only what a replay cannot rebuild: the round, the
+/// A kept frontier stores only what a start cannot derive: the round, the
 /// task count, the processor heap, the marked processors, the committed
 /// memory, the pending heap, the runnable bitmap, and the readiness
 /// entry (ready time, outstanding predecessors, tie-group link) of each
 /// pending tie-group member, whose link records release order —
 /// `O(m + pending + n/64)` words, independent of how many tasks the
-/// boundary has placed. A restore rebuilds the rest of the
-/// [`EngineState`]. It copies the placements (processor and start time)
-/// of the tasks the snapshot covers from the run's own schedule, it
-/// rebuilds the slot tables over the snapshot's tasks with the slot
-/// builder a cold run uses, and it re-derives the ready time and the
-/// outstanding-predecessor count of every task the boundary leaves
-/// unplaced (`records.placed[round..]`) from its predecessors'
-/// placements in that schedule, through the helper the splice of
-/// arrivals uses, before the splice extends all three. That costs
-/// `O(edges of the replayed suffix)`, never more than the replay that
-/// follows. The readiness entries of placed tasks are not restored:
-/// they are dead, whatever the workspace last held there.
+/// boundary has placed. Every run seeds its [`EngineState`] through one
+/// start path, a cold run from the empty frontier. Seeding a replay
+/// copies the placements (processor and start time) of the tasks the
+/// frontier covers from the run's own schedule, builds the slot tables
+/// over the whole rank as a cold run does, and re-derives the ready time
+/// and the outstanding-predecessor count of every task the boundary
+/// leaves unplaced (`records.placed[round..]`) from its predecessors'
+/// placements in that schedule. Every task the frontier predates (the
+/// arrivals since it was taken) then goes through the derive-and-enqueue
+/// loop a cold run puts all its tasks through. That costs `O(edges of
+/// the replayed suffix)`, never more than the replay that follows. The
+/// readiness entries of placed tasks are not restored: they are dead,
+/// whatever the workspace last held there.
 ///
-/// The rebuild rests on one invariant: **every run that keeps or
+/// The derivation rests on one invariant: **every run that keeps or
 /// inherits a boundary placed the tasks of the boundary's prefix exactly
 /// as the run that took it.** The run that takes a boundary placed them
 /// itself; a replay inherits only the boundaries before the one it
-/// restores, and its rounds before that point are the recorded ones,
+/// starts from, and its rounds before that point are the recorded ones,
 /// bit for bit. (Tasks the prefix did not place carry stale placements
 /// until the replay places them, as a cold run's reused buffers do.)
-/// The slot tables match the stored ones because a rank the records
-/// accept agrees with the recorded rank on every task the snapshot
-/// covers, and each later arrival sorts after all of them. The
-/// re-derived readiness is bit-exact for three reasons: a placed task's
-/// entry is frozen at placement and never read again; the ready time is
-/// a max, so the order of its terms and their rounding do not matter;
-/// and the restore points above keep every task re-estimated since a
-/// snapshot unplaced at it, so each completion it reads carries the
-/// processing time it was placed with.
+/// The slot tables order the frontier's tasks as the run that took it
+/// did, because a rank the records accept agrees with the recorded rank
+/// on every task the frontier covers, and each later arrival sorts after
+/// all of them. The derived readiness is bit-exact for three reasons: a
+/// placed task's entry is frozen at placement and never read again; the
+/// ready time is a max, so the order of its terms and their rounding do
+/// not matter; and the restore points above keep every task re-estimated
+/// since a boundary unplaced at it, so each completion it reads carries
+/// the processing time it was placed with.
 ///
 /// # Fallback
 ///
-/// A replan runs cold, under the run's own snapshot policy, in exactly
-/// one case: the records cannot serve it. That is a rank other than the
-/// recorded one (an arrival may only extend it, ranking itself last),
-/// a cap that shrank or is NaN (the monotonicity above needs `c' ≥ c`),
-/// or no kept boundary at or before the first affected round (an
-/// arrival on a sweep chain whose early strides never rejected). The
-/// cold run is the same bit-identical answer at full price.
+/// A replan starts from the empty frontier, under the run's own snapshot
+/// policy, in exactly one case: the records cannot serve it. That is a
+/// rank other than the recorded one (an arrival may only extend it, its
+/// `(rank, task)` pack sorting after every recorded one), a cap that
+/// shrank or is NaN (the monotonicity above needs `c' ≥ c`), or no kept
+/// boundary at or before the first affected round (an arrival on a sweep
+/// chain whose early strides never rejected). That cold run is the same
+/// bit-identical answer at full price.
 ///
 /// The records, the snapshots, the outcome, the priority rank and the
 /// CSR instance are `Arc`-shared between the runs of a chain, so an
@@ -1927,8 +2003,8 @@ pub struct CheckpointedRun {
     records: Arc<Records>,
     /// [`reject_floor`] of `records.reject_min`.
     reject_floor: f64,
-    /// The kept stride-boundary snapshots (ascending rounds).
-    checkpoints: Arc<Vec<Arc<Checkpoint>>>,
+    /// The kept stride-boundary frontiers (ascending rounds).
+    checkpoints: Arc<Vec<Arc<Frontier>>>,
     outcome: Arc<KernelOutcome>,
     /// Rounds actually executed to produce this run (`n` for a cold run,
     /// `0` when a delta affected no round).
@@ -1936,17 +2012,10 @@ pub struct CheckpointedRun {
 }
 
 impl CheckpointedRun {
-    /// A from-scratch ∆-sweep run with memory cap `cap`, recording what
-    /// a later warm resume needs. One-shot wrapper over
-    /// [`CheckpointedRun::cold_in`] (fresh CSR mirror and workspace).
-    pub fn cold(inst: &DagInstance, rank: Arc<PriorityRank>, cap: f64) -> Result<Self, ModelError> {
-        let mut ws = KernelWorkspace::with_capacity(inst.n(), inst.m());
-        Self::cold_in(Arc::new(inst.csr()), inst.m(), rank, cap, &mut ws)
-    }
-
-    /// [`CheckpointedRun::cold`] over a shared CSR instance on `m`
-    /// processors with a reusable workspace — the sweep-engine path,
-    /// where one chain runs many caps over one instance.
+    /// A from-scratch ∆-sweep run over a shared CSR instance on `m`
+    /// processors with memory cap `cap`, recording what a later warm
+    /// resume needs, through a reusable workspace — the sweep-engine
+    /// path, where one chain runs many caps over one instance.
     pub fn cold_in(
         csr: Arc<CsrDag>,
         m: usize,
@@ -1954,7 +2023,8 @@ impl CheckpointedRun {
         cap: f64,
         ws: &mut KernelWorkspace,
     ) -> Result<Self, ModelError> {
-        Self::start(csr, m, rank, cap, SnapshotPolicy::RejectingStrides, ws)
+        let policy = SnapshotPolicy::RejectingStrides;
+        Self::drive(csr, m, rank, cap, policy, None, ws)
     }
 
     /// A from-scratch replan-session run over `csr` on `m` processors
@@ -1967,33 +2037,13 @@ impl CheckpointedRun {
         cap: f64,
         ws: &mut KernelWorkspace,
     ) -> Result<Self, ModelError> {
-        Self::start(csr, m, rank, cap, SnapshotPolicy::EveryStride, ws)
+        Self::drive(csr, m, rank, cap, SnapshotPolicy::EveryStride, None, ws)
     }
 
-    fn start(
-        csr: Arc<CsrDag>,
-        m: usize,
-        rank: Arc<PriorityRank>,
-        cap: f64,
-        policy: SnapshotPolicy,
-        ws: &mut KernelWorkspace,
-    ) -> Result<Self, ModelError> {
-        ws.state.init(&csr, m, &rank);
-        let admission = RecordingCapAdmission::new(vec![0.0; m], cap);
-        let records = Records::default().prefix(0, csr.n());
-        Self::drive(csr, rank, policy, admission, records, Vec::new(), ws)
-    }
-
-    /// Warm-starts a run at `new_cap`, reusing the longest prefix whose
-    /// admissibility verdicts are unchanged. One-shot wrapper over
-    /// [`CheckpointedRun::resume_in`] (fresh workspace).
-    pub fn resume(&self, new_cap: f64) -> Result<Self, ModelError> {
-        self.resume_in(new_cap, &mut KernelWorkspace::new())
-    }
-
-    /// [`CheckpointedRun::resume`] with an explicit reusable workspace:
-    /// the [`ReplanDelta::Cap`] replan. When no round diverges the result
-    /// *is* this run's schedule (shared, not copied).
+    /// Warm-starts a run at `new_cap` through a reusable workspace,
+    /// reusing the longest prefix whose admissibility verdicts are
+    /// unchanged: the [`ReplanDelta::Cap`] replan. When no round diverges
+    /// the result *is* this run's schedule (shared, not copied).
     pub fn resume_in(&self, new_cap: f64, ws: &mut KernelWorkspace) -> Result<Self, ModelError> {
         self.replan(&self.rank, ReplanDelta::Cap(new_cap), ws)
     }
@@ -2050,20 +2100,17 @@ impl CheckpointedRun {
         } else {
             None
         };
-        match restore {
-            Some(ci) => self.resume_from(ci, rank, cap, ws),
-            // The fallback (see the type docs).
-            None => {
-                let (csr, rank) = (Arc::clone(&self.csr), Arc::clone(rank));
-                Self::start(csr, self.m, rank, cap, self.policy, ws)
-            }
-        }
+        // `None` is the fallback (see the type docs).
+        let from = restore.map(|ci| (self, ci));
+        let (csr, rank) = (Arc::clone(&self.csr), Arc::clone(rank));
+        Self::drive(csr, self.m, rank, cap, self.policy, from, ws)
     }
 
     /// First round an arrival (task `n − 1`) can affect.
     fn arrival_round(&self) -> usize {
         let n_old = self.records.placed.len();
-        let (rho, r0) = self.ready_info(n_old);
+        // Every predecessor is recorded: the ready time `ρ` and round `r₀`.
+        let (entry, r0) = readiness(&self.csr, n_old, n_old, Some(self));
         if self.cap.is_finite() {
             return r0;
         }
@@ -2071,7 +2118,7 @@ impl CheckpointedRun {
         let beaten = min_load[r0..]
             .iter()
             .zip(&winner_key[r0..])
-            .position(|(&load, &key)| strictly_lt(rho.max(load), key));
+            .position(|(&load, &key)| strictly_lt(entry.ready.max(load), key));
         beaten.map_or(n_old, |k| r0 + k)
     }
 
@@ -2079,37 +2126,24 @@ impl CheckpointedRun {
     /// cannot change the schedule).
     fn recost_round(&self, i: usize, p_changed: bool, s_shift: CostShift) -> Option<usize> {
         let placed_at = self.records.place_round[i] as usize;
+        let ready_round = || readiness(&self.csr, i, placed_at, Some(self)).1;
         let s_first = match s_shift {
             _ if !self.cap.is_finite() => None,
             CostShift::Unchanged => None,
             // Rejected→admitted flips need a rejection to flip.
             CostShift::Lowered => {
-                let r0 = self.ready_info(i).1;
+                let r0 = ready_round();
                 let thresholds = &self.records.reject_min[r0..placed_at];
                 let rejecting = thresholds.iter().position(|v| v.is_finite());
                 Some(rejecting.map_or(placed_at, |k| r0 + k))
             }
-            CostShift::Raised => Some(self.ready_info(i).1),
+            CostShift::Raised => Some(ready_round()),
         };
         p_changed
             .then_some(placed_at)
             .into_iter()
             .chain(s_first)
             .min()
-    }
-
-    /// Ready time `ρ` (max predecessor completion) and ready round `r₀`
-    /// (first round the task is visible to scans) of `task` under this
-    /// run's schedule.
-    fn ready_info(&self, task: usize) -> (f64, usize) {
-        let mut rho = 0.0f64;
-        let mut r0 = 0usize;
-        for &u in self.csr.preds(task) {
-            let u = u as usize;
-            rho = rho.max(self.outcome.schedule.start(u) + self.csr.p(u));
-            r0 = r0.max(self.records.place_round[u] as usize + 1);
-        }
-        (rho, r0)
     }
 
     /// Whether `rank` is exactly the recorded rank.
@@ -2126,160 +2160,49 @@ impl CheckpointedRun {
             && self.rank.iter().max().is_none_or(|&top| top <= rank[n - 1])
     }
 
-    /// Restores kept snapshot `ci` and replays to completion against the
-    /// (possibly mutated) instance.
-    fn resume_from(
-        &self,
-        ci: usize,
-        rank: &Arc<PriorityRank>,
-        cap: f64,
-        ws: &mut KernelWorkspace,
-    ) -> Result<Self, ModelError> {
-        self.restore(ci, rank, ws);
-        let ck = &self.checkpoints[ci];
-        let admission = RecordingCapAdmission::new(ck.memsize.clone(), cap);
-        // The replay re-records from the restored round (re-staging its
-        // boundary), so keep only what precedes it: identical by
-        // construction.
-        let records = self.records.prefix(ck.round, self.csr.n());
-        let checkpoints = self.checkpoints[..ci].to_vec();
-        let (csr, rank) = (Arc::clone(&self.csr), Arc::clone(rank));
-        Self::drive(csr, rank, self.policy, admission, records, checkpoints, ws)
-    }
-
-    /// Rebuilds in the workspace the state a replay from kept snapshot
-    /// `ci` starts from: the snapshot restored, the readiness of every
-    /// task it leaves unplaced re-derived (`records.placed[round..]`,
-    /// the links of the pending members written back over it), then
-    /// every task it predates spliced in.
-    fn restore(&self, ci: usize, rank: &PriorityRank, ws: &mut KernelWorkspace) {
-        let ck = &self.checkpoints[ci];
-        ck.restore(&mut ws.state, &self.outcome.schedule, rank);
-        for &t in &self.records.placed[ck.round..] {
-            let t = t as usize;
-            // Later tasks are the splice's.
-            if t < ck.n {
-                ws.state.preds[t] = self.readiness(t, ck.round);
-            }
-        }
-        for &(t, entry) in &ck.members {
-            ws.state.preds[t as usize] = entry;
-        }
-        self.adapt_new_tasks(rank, ck.round, ws);
-    }
-
-    /// The readiness entry of `task` before round `at` of any run that
-    /// placed its first `at` rounds as this one did: the latest
-    /// completion, in this run's schedule, of the predecessors this run
-    /// placed before round `at`, and the count of the others. Exactly
-    /// the entry the run held there, for a task it had not yet placed:
-    /// the ready time is a max, so neither the order of the terms nor
-    /// their rounding matters, and no predecessor placed before `at` has
-    /// been re-estimated since (see the snapshot docs). A missing
-    /// predecessor (an arrival not yet recorded) counts as outstanding.
-    fn readiness(&self, task: usize, at: usize) -> PredState {
-        let (csr, place_round) = (&self.csr, &self.records.place_round);
-        let mut ready = 0.0f64;
-        let mut remaining = 0u32;
-        for &u in csr.preds(task) {
-            let u = u as usize;
-            if u < place_round.len() && (place_round[u] as usize) < at {
-                ready = ready.max(self.outcome.schedule.start(u) + csr.p(u));
-            } else {
-                remaining += 1;
-            }
-        }
-        PredState {
-            ready,
-            remaining,
-            next: NO_TASK,
-        }
-    }
-
-    /// Splices every task the restored snapshot predates into the
-    /// state. A snapshot taken before round `at` can be older than
-    /// several arrivals — earlier replans keep the snapshots before
-    /// their restore point, and those snapshots keep their pre-arrival
-    /// task count — so all of `ck.n .. csr.n()` is (re-)spliced, in
-    /// index order.
-    ///
-    /// Each spliced task's readiness comes from
-    /// [`CheckpointedRun::readiness`], the derivation a restore runs for
-    /// the snapshot's own unplaced tasks: predecessors the restored
-    /// prefix already placed contribute their completions to its ready
-    /// time; the rest will find it on their successor lists during the
-    /// replay (the CSR is mutated in place) and decrement it like any
-    /// other frontier task. A kept snapshot always predates the splice
-    /// point of every task it is missing (`ck.round < place_round[t]`,
-    /// because each arrival's replay restored at or before its ready
-    /// round), so a missing predecessor is never read for its start time
-    /// — it is counted as outstanding instead. A task ready at restore
-    /// time enters the ready structures exactly where a from-scratch
-    /// run's migration would put it: runnable iff its ready time is
-    /// (approximately) at or below the minimum load, pending otherwise,
-    /// as a singleton tie group. (A from-scratch run may group it with
-    /// siblings of the same ready time; ranked last, it trails them, and
-    /// either way the rounds select the same winners.)
-    ///
-    /// Every spliced task takes the next slot (`t`): the rank guard of
-    /// arrival replans sorts each arrival's pack after all earlier ones,
-    /// so the restored slot tables extend without renumbering.
-    fn adapt_new_tasks(&self, rank: &PriorityRank, at: usize, ws: &mut KernelWorkspace) {
-        let n = self.csr.n();
-        let state = &mut ws.state;
-        if state.preds.len() >= n {
-            return;
-        }
-        state.runnable.grow(n);
-        // `rank[t]` is read once at the tail of a mostly-stateful body;
-        // an enumerate over `rank` would obscure the splice semantics.
-        #[allow(clippy::needless_range_loop)]
-        for t in state.preds.len()..n {
-            let entry = self.readiness(t, at);
-            state.preds.push(entry);
-            state.proc_of.push(0);
-            state.start.push(0.0);
-            state.slot_of_task.push(t as u32);
-            state.task_of_slot.push(t as u32);
-            if entry.remaining == 0 {
-                if approx_le(entry.ready, state.procs.min_load()) {
-                    state.runnable.insert(t as u32);
-                } else {
-                    // A singleton tie group.
-                    state
-                        .pending
-                        .push(pend_key(entry.ready, rank_task(rank[t], t as u32)));
-                }
-            }
-        }
-    }
-
-    /// The one drive loop: runs the workspace's state to completion,
-    /// staging every [`checkpoint_stride`] boundary and keeping it as
-    /// `policy` says, and extending the records (which must already
-    /// cover the rounds before `state.round`).
+    /// The one drive loop: seeds the workspace's state from the frontier
+    /// the run starts at — kept frontier `ci` of `prev` for `Some((prev,
+    /// ci))`, keeping the records and frontiers before it (the replay
+    /// re-records from its round, re-staging its boundary, so those are
+    /// identical by construction), or the empty frontier over `m`
+    /// processors — and runs it to completion, staging every
+    /// [`checkpoint_stride`] boundary and keeping it as `policy` says.
     fn drive(
         csr: Arc<CsrDag>,
+        m: usize,
         rank: Arc<PriorityRank>,
+        cap: f64,
         policy: SnapshotPolicy,
-        mut admission: RecordingCapAdmission,
-        mut records: Records,
-        mut checkpoints: Vec<Arc<Checkpoint>>,
+        from: Option<(&CheckpointedRun, usize)>,
         ws: &mut KernelWorkspace,
     ) -> Result<Self, ModelError> {
         let n = csr.n();
         let stride = checkpoint_stride(n);
-        let first = ws.state.round;
+        let (frontier, mut records, mut checkpoints) = match from {
+            Some((prev, ci)) => {
+                let kept = &*prev.checkpoints[ci];
+                let records = prev.records.prefix(kept.round, n);
+                (kept, records, prev.checkpoints[..ci].to_vec())
+            }
+            None => {
+                ws.frontier.reset(m);
+                (&ws.frontier, Records::default().prefix(0, n), Vec::new())
+            }
+        };
+        ws.state
+            .seed(&csr, &rank, frontier, from.map(|(prev, _)| prev));
+        let mut admission = RecordingCapAdmission::new(frontier.memsize.clone(), cap);
+        let first = frontier.round;
         debug_assert_eq!(records.placed.len(), first);
         ws.scratch.clear();
-        // `ws.staged` holds the current stride's boundary, not yet kept.
+        // `ws.frontier` holds the current stride's boundary, not yet kept.
         let mut staged = false;
         while ws.state.round < n {
             if ws.state.round.is_multiple_of(PROBE_STRIDE) {
                 ws.probe.poll()?;
             }
             if ws.state.round.is_multiple_of(stride) {
-                ws.staged.stage(&ws.state, &admission.inner.memsize);
+                ws.frontier.stage(&ws.state, &admission.inner.memsize);
                 staged = true;
             }
             records.min_load.push(ws.state.procs.min_load());
@@ -2291,12 +2214,11 @@ impl CheckpointedRun {
             records.winner_key.push(key);
             records.reject_min.push(threshold);
             if staged && (policy == SnapshotPolicy::EveryStride || threshold.is_finite()) {
-                let boundary = std::mem::replace(&mut ws.staged, Checkpoint::empty());
+                let boundary = std::mem::replace(&mut ws.frontier, Frontier::empty());
                 checkpoints.push(Arc::new(boundary));
                 staged = false;
             }
         }
-        let (m, cap) = (ws.state.procs.m(), admission.inner.cap);
         let outcome = ws.state.finish(m)?;
         // The rounds before `first` placed what the records say already.
         for (r, &t) in records.placed.iter().enumerate().skip(first) {
@@ -2424,6 +2346,39 @@ mod tests {
     use sws_dag::prelude::*;
     use sws_model::validate::{validate_timed, validate_timed_preds};
 
+    /// [`ProcHeap::probe_with`] through fresh buffers: the accepted
+    /// processor and the ones skipped on the way.
+    fn probe(h: &ProcHeap, admit: impl FnMut(usize) -> bool) -> Option<(usize, Vec<usize>)> {
+        let (mut frontier, mut skipped) = (Vec::new(), Vec::new());
+        h.probe_with(admit, &mut frontier, &mut skipped)
+            .map(|q| (q, skipped))
+    }
+
+    /// A from-scratch ∆-sweep run of `inst` under `cap` through
+    /// [`CheckpointedRun::cold_in`], with a fresh CSR mirror and
+    /// workspace.
+    fn cold_run(
+        inst: &DagInstance,
+        rank: Arc<PriorityRank>,
+        cap: f64,
+    ) -> Result<CheckpointedRun, ModelError> {
+        let mut ws = KernelWorkspace::with_capacity(inst.n(), inst.m());
+        CheckpointedRun::cold_in(Arc::new(inst.csr()), inst.m(), rank, cap, &mut ws)
+    }
+
+    /// `run` warm-started at `cap` through
+    /// [`CheckpointedRun::resume_in`], with a fresh workspace.
+    fn resumed(run: &CheckpointedRun, cap: f64) -> Result<CheckpointedRun, ModelError> {
+        run.resume_in(cap, &mut KernelWorkspace::new())
+    }
+
+    /// Seeds `ws`'s state from kept frontier `ci` of `run`, as a replay
+    /// of `run` from that boundary starts.
+    fn seed_kept(run: &CheckpointedRun, ci: usize, ws: &mut KernelWorkspace) {
+        let (csr, rank) = (run.csr(), run.rank());
+        ws.state.seed(csr, rank, &run.checkpoints[ci], Some(run));
+    }
+
     #[test]
     fn proc_heap_orders_by_load_then_index() {
         let mut h = ProcHeap::new(4);
@@ -2466,11 +2421,11 @@ mod tests {
         h.set_load(1, 2.0);
         h.set_load(2, 3.0);
         h.set_load(3, 4.0);
-        let (q, skipped) = h.probe(|q| q >= 2).unwrap();
+        let (q, skipped) = probe(&h, |q| q >= 2).unwrap();
         assert_eq!(q, 2);
         assert_eq!(skipped, vec![0, 1]);
-        assert!(h.probe(|_| false).is_none());
-        let (q, skipped) = h.probe(|_| true).unwrap();
+        assert!(probe(&h, |_| false).is_none());
+        let (q, skipped) = probe(&h, |_| true).unwrap();
         assert_eq!(q, 0);
         assert!(skipped.is_empty());
     }
@@ -2782,7 +2737,7 @@ mod tests {
         let rank = Arc::new(index_priority(inst.n()));
         for &delta in &[2.25, 3.0, 8.0] {
             let cap = delta * lb;
-            let run = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+            let run = cold_run(&inst, Arc::clone(&rank), cap).unwrap();
             let mut adm = MemoryCapAdmission::new(inst.m(), cap);
             let direct = event_driven_schedule(&inst, &rank, &mut adm).unwrap();
             assert_eq!(run.outcome().schedule, direct.schedule, "∆={delta}");
@@ -2795,11 +2750,11 @@ mod tests {
     fn resume_at_a_larger_cap_is_bit_identical_to_a_cold_run() {
         let (inst, lb) = capped_instance();
         let rank = Arc::new(index_priority(inst.n()));
-        let mut chain = CheckpointedRun::cold(&inst, Arc::clone(&rank), 2.25 * lb).unwrap();
+        let mut chain = cold_run(&inst, Arc::clone(&rank), 2.25 * lb).unwrap();
         for &delta in &[2.5, 2.75, 3.5, 6.0, 100.0] {
             let cap = delta * lb;
-            chain = chain.resume(cap).unwrap();
-            let cold = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+            chain = resumed(&chain, cap).unwrap();
+            let cold = cold_run(&inst, Arc::clone(&rank), cap).unwrap();
             assert_eq!(
                 chain.outcome().schedule,
                 cold.outcome().schedule,
@@ -2827,7 +2782,7 @@ mod tests {
         for &delta in &[2.5, 3.5, 6.0] {
             let cap = delta * lb;
             chain = chain.resume_in(cap, &mut ws).unwrap();
-            let cold = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+            let cold = cold_run(&inst, Arc::clone(&rank), cap).unwrap();
             assert_eq!(
                 chain.outcome().schedule,
                 cold.outcome().schedule,
@@ -2843,8 +2798,8 @@ mod tests {
         let rank = Arc::new(index_priority(inst.n()));
         // A huge cap never rejects, so any still-larger cap diverges
         // nowhere and the resume reuses the previous outcome wholesale.
-        let run = CheckpointedRun::cold(&inst, rank, 1e6 * lb).unwrap();
-        let next = run.resume(2e6 * lb).unwrap();
+        let run = cold_run(&inst, rank, 1e6 * lb).unwrap();
+        let next = resumed(&run, 2e6 * lb).unwrap();
         assert_eq!(next.replayed_rounds(), 0);
         assert_eq!(next.outcome().schedule, run.outcome().schedule);
     }
@@ -2853,9 +2808,9 @@ mod tests {
     fn resume_at_a_smaller_cap_falls_back_to_a_cold_run() {
         let (inst, lb) = capped_instance();
         let rank = Arc::new(index_priority(inst.n()));
-        let run = CheckpointedRun::cold(&inst, Arc::clone(&rank), 4.0 * lb).unwrap();
-        let back = run.resume(2.25 * lb).unwrap();
-        let cold = CheckpointedRun::cold(&inst, rank, 2.25 * lb).unwrap();
+        let run = cold_run(&inst, Arc::clone(&rank), 4.0 * lb).unwrap();
+        let back = resumed(&run, 2.25 * lb).unwrap();
+        let cold = cold_run(&inst, rank, 2.25 * lb).unwrap();
         assert_eq!(back.outcome().schedule, cold.outcome().schedule);
         assert_eq!(back.replayed_rounds(), inst.n());
     }
@@ -2866,9 +2821,9 @@ mod tests {
     fn resume_at_a_nan_cap_fails_like_a_cold_run() {
         let (inst, lb) = capped_instance();
         let rank = Arc::new(index_priority(inst.n()));
-        let run = CheckpointedRun::cold(&inst, Arc::clone(&rank), 4.0 * lb).unwrap();
-        let warm = run.resume(f64::NAN).unwrap_err();
-        let cold = CheckpointedRun::cold(&inst, rank, f64::NAN).unwrap_err();
+        let run = cold_run(&inst, Arc::clone(&rank), 4.0 * lb).unwrap();
+        let warm = resumed(&run, f64::NAN).unwrap_err();
+        let cold = cold_run(&inst, rank, f64::NAN).unwrap_err();
         assert!(
             matches!(warm, ModelError::MemoryExceeded { .. }),
             "{warm:?}"
@@ -2909,9 +2864,9 @@ mod tests {
         let rank = Arc::new(index_priority(inst.n()));
         // Never binds: no snapshot is kept, and the resume is the same
         // outcome, not a copy of it.
-        let loose = CheckpointedRun::cold(&inst, Arc::clone(&rank), 4.0 * lb).unwrap();
+        let loose = cold_run(&inst, Arc::clone(&rank), 4.0 * lb).unwrap();
         assert!(loose.checkpoints.is_empty());
-        let same = loose.resume(8.0 * lb).unwrap();
+        let same = resumed(&loose, 8.0 * lb).unwrap();
         assert_eq!(same.replayed_rounds(), 0);
         assert!(same
             .outcome()
@@ -2921,16 +2876,16 @@ mod tests {
 
         // Binds: a resume at the smallest rejected value diverges and
         // builds fresh buffers, bit-identical to a cold run.
-        let tight = CheckpointedRun::cold(&inst, Arc::clone(&rank), 1.01 * lb).unwrap();
+        let tight = cold_run(&inst, Arc::clone(&rank), 1.01 * lb).unwrap();
         let cap = tight.reject_floor;
         assert!(cap.is_finite(), "the tight cap must bind");
-        let next = tight.resume(cap).unwrap();
+        let next = resumed(&tight, cap).unwrap();
         assert!(next.replayed_rounds() > 0);
         assert!(!next
             .outcome()
             .schedule
             .shares_storage(&tight.outcome().schedule));
-        let cold = CheckpointedRun::cold(&inst, rank, cap).unwrap();
+        let cold = cold_run(&inst, rank, cap).unwrap();
         assert_same_bits(
             &next.outcome().schedule,
             &cold.outcome().schedule,
@@ -2973,7 +2928,7 @@ mod tests {
             );
             let next = run.resume_in(cap, &mut ws).unwrap();
             assert_eq!(next.replayed_rounds(), n - boundary, "d = {d}");
-            let cold = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+            let cold = cold_run(&inst, Arc::clone(&rank), cap).unwrap();
             assert_same_bits(&next.outcome().schedule, &cold.outcome().schedule, "chain");
             assert_eq!(next.checkpoints.len(), cold.checkpoints.len());
             boundaries.push(boundary);
@@ -3352,6 +3307,9 @@ mod tests {
     /// pack sorts after every recorded one. Under a degenerate recorded
     /// rank (all equal, above the arrival's index) an arrival ranked
     /// `n − 1` sorts *first*, wins the round-0 tie and must run cold.
+    /// One ranked equal to the recorded maximum sorts last on its index,
+    /// so it replays warm, with slots sorted from the `(rank, task)`
+    /// packs over the whole rank.
     #[test]
     fn an_arrival_ranked_below_the_recorded_ranks_runs_cold() {
         let m = 4;
@@ -3367,7 +3325,7 @@ mod tests {
             s: 1.0,
         };
         run.csr_mut().apply_delta(&arrival).unwrap();
-        for (last, warm) in [(n as u32, false), (u32::MAX, true)] {
+        for (last, warm) in [(n as u32, false), (u32::MAX - 1, true), (u32::MAX, true)] {
             let mut rank = vec![u32::MAX - 1; n];
             rank.push(last);
             let rank = Arc::new(rank);
@@ -3510,7 +3468,8 @@ mod tests {
         for ci in 0..run.checkpoints.len() {
             let ck = &run.checkpoints[ci];
             let mut cold = KernelWorkspace::new();
-            cold.state.init(csr, m, rank);
+            cold.frontier.reset(m);
+            cold.state.seed(csr, rank, &cold.frontier, None);
             let mut admission = MemoryCapAdmission::new(m, cap);
             let mut placed = vec![false; n];
             while cold.state.round < ck.round {
@@ -3525,7 +3484,7 @@ mod tests {
             let other = &mut Unrestricted;
             event_driven_schedule_csr(&other_csr, m + 1, &other_rank, other, &mut stale).unwrap();
             for (mut ws, label) in [(KernelWorkspace::new(), "fresh"), (stale, "stale")] {
-                run.restore(ci, rank, &mut ws);
+                seed_kept(run, ci, &mut ws);
                 let warm = &ws.state;
                 let ctx = format!("{what}: boundary {} ({label} workspace)", ck.round);
                 assert_eq!(warm.round, cold.round, "{ctx}");
@@ -3588,7 +3547,7 @@ mod tests {
         }
         let last = run.checkpoints.len() - 1;
         let mut warm = KernelWorkspace::new();
-        run.restore(last, run.rank(), &mut warm);
+        seed_kept(&run, last, &mut warm);
         assert_eq!(
             ready_set(&warm.state),
             vec![run.records.placed[run.checkpoints[last].round]]
@@ -3710,7 +3669,7 @@ mod tests {
             (4.0 * lb, vec![(n - 1) as u32]),
         ] {
             let rank = Arc::new(index_priority(n));
-            let mut run = CheckpointedRun::cold(&inst, rank, cap).unwrap();
+            let mut run = cold_run(&inst, rank, cap).unwrap();
             let kept = kept_rounds(&run);
             run.csr_mut()
                 .apply_delta(&sws_dag::CsrDelta::AddTask {
@@ -3727,7 +3686,7 @@ mod tests {
                 )
                 .unwrap();
             assert_matches_cold(&next, &format!("arrival at cap {cap}"));
-            let r0 = run.ready_info(n).1;
+            let r0 = readiness(run.csr(), n, n, Some(&run)).1;
             match kept.iter().rposition(|&b| b <= r0) {
                 Some(ci) => {
                     assert_eq!(next.replayed_rounds(), n + 1 - kept[ci]);

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use sws_core::replan::{solve_from_scratch, ReplanEngine};
 use sws_dag::{CsrDag, CsrDelta, DagInstance};
 use sws_listsched::kernel::{CheckpointedRun, KernelWorkspace};
-use sws_listsched::priority::index_priority;
+use sws_listsched::priority::{index_priority, PriorityRank};
 use sws_model::error::ModelError;
 use sws_model::solve::Solution;
 use sws_model::task::TaskSet;
@@ -332,6 +332,13 @@ fn partial_and_unchanged_re_estimates_match_from_scratch() {
     drive_stream(base, m, Some(cap), &stream, &mut ws, "capped");
 }
 
+/// A from-scratch ∆-sweep run of `inst` under `cap`, through a fresh
+/// CSR mirror and workspace.
+fn cold_run(inst: &DagInstance, rank: Arc<PriorityRank>, cap: f64) -> CheckpointedRun {
+    let mut ws = KernelWorkspace::with_capacity(inst.n(), inst.m());
+    CheckpointedRun::cold_in(Arc::new(inst.csr()), inst.m(), rank, cap, &mut ws).unwrap()
+}
+
 /// Regression pin for the pre-existing cap-resume machinery: a
 /// [`CheckpointedRun`] warm-resumed through increasing caps stays
 /// bit-identical to cold runs at each cap — the delta-replan layer must
@@ -352,11 +359,11 @@ fn checkpointed_cap_resume_behaviour_is_unchanged() {
         .fold(0.0, f64::max);
     let lb = s_sum / 4.0 + s_max;
     let rank = Arc::new(index_priority(inst.n()));
-    let mut chain = CheckpointedRun::cold(&inst, Arc::clone(&rank), lb).unwrap();
+    let mut chain = cold_run(&inst, Arc::clone(&rank), lb);
     for &factor in &[1.25, 1.5, 3.0, 50.0] {
         let cap = factor * lb;
-        chain = chain.resume(cap).unwrap();
-        let cold = CheckpointedRun::cold(&inst, Arc::clone(&rank), cap).unwrap();
+        chain = chain.resume_in(cap, &mut KernelWorkspace::new()).unwrap();
+        let cold = cold_run(&inst, Arc::clone(&rank), cap);
         assert_eq!(
             chain.outcome().schedule,
             cold.outcome().schedule,

@@ -9,7 +9,7 @@
 //! tier-1 run uses the default sizes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use sws_core::portfolio::Portfolio;
@@ -29,8 +29,21 @@ fn quick() -> bool {
         .unwrap_or(false)
 }
 
+/// Held by both tests, so they never run at once. The fairness bound
+/// below is a fixed share of the whole drain, but the victims are
+/// served early in it: with the stress test's workers and submitters on
+/// the same cores, the victims slow while the drain's tail does not.
+/// The lock tolerates poisoning, so one test's failure does not fail
+/// the other.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn stress_many_tenants_with_midstream_cancellation() {
+    let _serial = serial();
     let tenants = 8usize;
     let per_tenant = if quick() { 24 } else { 96 };
     let portfolio = Portfolio::standard();
@@ -185,6 +198,7 @@ fn stress_many_tenants_with_midstream_cancellation() {
 /// by a wide margin.
 #[test]
 fn a_flooding_tenant_cannot_push_another_tenants_p99_past_the_bound() {
+    let _serial = serial();
     let victims = if quick() { 16 } else { 48 };
     let quota = victims;
     let flood_n = 10 * quota;
